@@ -204,8 +204,19 @@ fn rule_lock_order(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 // Rule 2: no-bare-panic.
 
-const PANIC_SCOPES: &[&str] =
-    &["crates/core/src/proto/", "crates/core/src/server.rs", "crates/nfs/src/ops_"];
+/// Files on a request's serving path: the protocol engine, and the NFS
+/// envelope's operations, segment-I/O seam, dispatch and host entry
+/// points (plus the GC and reconciliation they call into).
+const PANIC_SCOPES: &[&str] = &[
+    "crates/core/src/proto/",
+    "crates/core/src/server.rs",
+    "crates/nfs/src/ops_",
+    "crates/nfs/src/fs.rs",
+    "crates/nfs/src/rpc.rs",
+    "crates/nfs/src/host.rs",
+    "crates/nfs/src/gc.rs",
+    "crates/nfs/src/reconcile.rs",
+];
 
 fn rule_no_bare_panic(fi: usize, facts: &Facts, out: &mut Vec<Finding>) {
     let f = &facts.files[fi];

@@ -8,20 +8,42 @@
 //! original read. If a version pair conflict occurs, the whole operation
 //! is restarted."
 //!
-//! This module holds the envelope's shared types and segment plumbing.
-//! The operations themselves are grouped by how they interact with
-//! engine state — the classification a concurrent host dispatches on
-//! (see [`deceit_core::OpClass`]):
+//! This module holds the envelope's shared types and the segment-I/O
+//! seam, [`SegIo`]. Every operation has exactly one body, written over
+//! that seam and generic in the *access mode* it runs under:
 //!
-//! * [`crate::ops_read`] — read-only entry points, plus the shared
-//!   (`&self`) fast path;
+//! * **exclusive** — [`DeceitFs`] itself, reached through `&mut`: the
+//!   full protocol ([`Cluster::read`], [`Cluster::write`],
+//!   [`Cluster::advance`]). It answers every request; the simulator and
+//!   a concurrent host's fallback use it.
+//! * **ring** — [`Ring`]: `&DeceitFs` plus the ring-lock slots the
+//!   caller holds. Reads try a local stable replica, then the token
+//!   holder's primary copy, then the full read scoped to those slots;
+//!   writes and clock advances are scoped to them too.
+//! * **shared** — [`SharedAccess`]: `&DeceitFs` alone. It answers only from a
+//!   local stable replica (or the holder's leased copy) and declines
+//!   everything else.
+//!
+//! A mode that cannot answer *declines* ([`Stop::Decline`]), and the
+//! host retries under a stronger one. Exclusive access declines with
+//! [`Infallible`], so the type system proves it never does. The few
+//! places where the modes deliberately differ are stated once, on the
+//! seam's methods.
+//!
+//! The operations are grouped by how they interact with engine state —
+//! the classification a concurrent host dispatches on (see
+//! [`deceit_core::OpClass`]):
+//!
+//! * [`crate::ops_read`] — read-only operations;
 //! * [`crate::ops_file`] — single-file mutations;
 //! * [`crate::ops_dir`] — namespace (directory / cross-file) mutations.
+
+use std::convert::Infallible;
 
 use bytes::Bytes;
 
 use deceit_core::{
-    Cluster, ClusterConfig, DeceitError, FileParams, OpResult, VersionPair, WriteOp,
+    Cluster, ClusterConfig, DeceitError, FileParams, OpResult, ReadData, VersionPair, WriteOp,
 };
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
@@ -114,6 +136,9 @@ pub enum NfsError {
     Io(DeceitError),
     /// A segment the envelope expected to be formatted was not.
     Corrupt(CodecError),
+    /// EFBIG — the file would outgrow what one whole-segment read
+    /// returns.
+    FileTooBig,
 }
 
 impl std::fmt::Display for NfsError {
@@ -130,6 +155,7 @@ impl std::fmt::Display for NfsError {
             NfsError::Busy => write!(f, "directory update conflicted repeatedly"),
             NfsError::Io(e) => write!(f, "segment server: {e}"),
             NfsError::Corrupt(e) => write!(f, "corrupt segment: {e}"),
+            NfsError::FileTooBig => write!(f, "file too large"),
         }
     }
 }
@@ -196,8 +222,18 @@ pub struct DeceitFs {
 }
 
 /// The fixed size used when reading a whole segment ("most files are
-/// small", §2.3; this bound is far above any segment the tests create).
+/// small", §2.3). Writes that would grow a segment past it fail with
+/// [`NfsError::FileTooBig`] instead of storing bytes no read returns.
 pub(crate) const WHOLE_SEGMENT: usize = 64 * 1024 * 1024;
+
+/// EFBIG unless a segment with `inode`'s header and a `len`-byte payload
+/// fits in one whole-segment read.
+pub(crate) fn check_fits(inode: &Inode, len: usize) -> Result<(), NfsError> {
+    if len > WHOLE_SEGMENT.saturating_sub(inode.encoded_len()) {
+        return Err(NfsError::FileTooBig);
+    }
+    Ok(())
+}
 
 impl DeceitFs {
     /// Builds a file service over `servers` Deceit servers and creates the
@@ -207,6 +243,7 @@ impl DeceitFs {
         let via = NodeId(0);
         let root_seg = cluster
             .create_with_params(via, cfg.root_params)
+            // lint: allow(no-bare-panic): cell construction, not a request path — server 0 of a fresh cell is up and has room for one segment
             .expect("root creation cannot fail on a fresh cell")
             .value;
         let now = cluster.now().as_micros();
@@ -216,6 +253,7 @@ impl DeceitFs {
         payload.extend_from_slice(&Directory::new().encode());
         cluster
             .write(via, root_seg, WriteOp::Replace(payload), None)
+            // lint: allow(no-bare-panic): cell construction, not a request path — the unconditional first write of a segment just created at a live server
             .expect("root format cannot fail");
         cluster.run_until_quiet();
         DeceitFs { cluster, cfg, root: FileHandle::new(root_seg) }
@@ -236,234 +274,6 @@ impl DeceitFs {
         &self.cfg
     }
 
-    // ------------------------------------------------------------------
-    // Segment plumbing
-    // ------------------------------------------------------------------
-
-    /// Reads a whole segment and splits it into (inode, payload, version).
-    pub(crate) fn load(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Bytes, VersionPair, SimDuration), NfsError> {
-        let read = self.cluster.read(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?;
-        let (inode, hdr_len) = Inode::decode(&read.value.data)?;
-        let payload = read.value.data.slice(hdr_len..);
-        Ok((inode, payload, read.value.version, read.latency))
-    }
-
-    /// Writes a segment's inode + payload conditionally on `expected`.
-    pub(crate) fn store(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-        inode: &Inode,
-        payload: &[u8],
-        expected: Option<VersionPair>,
-    ) -> Result<(VersionPair, SimDuration), NfsError> {
-        let mut buf = inode.encode();
-        buf.extend_from_slice(payload);
-        let w = self.cluster.write(via, fh.seg, WriteOp::Replace(buf), expected)?;
-        Ok((w.value, w.latency))
-    }
-
-    /// Runs a read-modify-write on a segment with the §5.1 restart loop.
-    /// `mutate` returns `Ok(Some(payload))` to write, `Ok(None)` to leave
-    /// the segment untouched.
-    pub(crate) fn update_segment(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Vec<u8>>, NfsError>,
-    ) -> Result<SimDuration, NfsError> {
-        let mut latency = SimDuration::ZERO;
-        for attempt in 0..self.cfg.occ_retries.max(1) {
-            let (mut inode, payload, version, l1) = self.load(via, fh)?;
-            latency += l1;
-            let new_payload = match mutate(&mut inode, &payload)? {
-                Some(p) => p,
-                None => return Ok(latency),
-            };
-            match self.store(via, fh, &inode, &new_payload, Some(version)) {
-                Ok((_, l2)) => return Ok(latency + l2),
-                Err(NfsError::Io(DeceitError::VersionConflict { .. })) => {
-                    self.cluster.stats.incr("nfs/occ_restarts");
-                    // §5.1: "the whole operation is restarted." Restarting
-                    // takes real time — back off so asynchronously
-                    // propagating updates can land before the re-read (a
-                    // zero-time retry against a write-behind replica would
-                    // spin on the same stale version).
-                    let backoff = SimDuration::from_millis(10 * (attempt as u64 + 1));
-                    self.cluster.advance(backoff);
-                    latency += backoff;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NfsError::Busy)
-    }
-
-    /// Loads a directory segment's entry table.
-    pub(crate) fn load_dir(
-        &mut self,
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Directory, VersionPair, SimDuration), NfsError> {
-        let (inode, payload, version, latency) = self.load(via, fh)?;
-        if inode.ftype != FileType::Directory.to_byte() {
-            return Err(NfsError::NotDir);
-        }
-        let dir = Directory::decode(&payload)?;
-        Ok((inode, dir, version, latency))
-    }
-
-    // ------------------------------------------------------------------
-    // Sharded-path segment plumbing (`&self`)
-    //
-    // Twins of the plumbing above for the concurrent host's mutation
-    // fast path: the caller holds the ring locks for `slots` (the slots
-    // of the request's `OpClass`), and every cluster call below fires
-    // deferred work only within them. See `crate::ops_file` /
-    // `crate::ops_dir` for the entry points.
-    // ------------------------------------------------------------------
-
-    /// Sharded-path [`DeceitFs::load`]. Tries the lean local paths
-    /// first — a stable local replica, then the token holder's primary
-    /// copy (the steady state of a write stream) — before the full
-    /// forwarding read.
-    pub(crate) fn load_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Bytes, VersionPair, SimDuration), NfsError> {
-        let read = match self
-            .cluster
-            .try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)
-            .or_else(|| self.cluster.try_read_primary(via, fh.seg, fh.version, 0, WHOLE_SEGMENT))
-        {
-            Some(r) => r,
-            None => self.cluster.read_sharded(slots, via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?,
-        };
-        let (inode, hdr_len) = Inode::decode(&read.value.data)?;
-        let payload = read.value.data.slice(hdr_len..);
-        Ok((inode, payload, read.value.version, read.latency))
-    }
-
-    /// Sharded-path [`DeceitFs::store`].
-    pub(crate) fn store_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        inode: &Inode,
-        payload: &[u8],
-        expected: Option<VersionPair>,
-    ) -> Result<(VersionPair, SimDuration), NfsError> {
-        let mut buf = inode.encode();
-        buf.extend_from_slice(payload);
-        let w = self.cluster.write_sharded(slots, via, fh.seg, WriteOp::Replace(buf), expected)?;
-        Ok((w.value, w.latency))
-    }
-
-    /// Sharded-path [`DeceitFs::update_segment`]: the §5.1 restart loop
-    /// with the backoff's clock advance scoped to the held slots.
-    ///
-    /// Returns the segment's final state alongside the latency — the
-    /// inode and payload length just written (or just loaded, when
-    /// `mutate` declined) and the resulting version pair — so callers
-    /// can assemble the post-op attributes without re-reading the whole
-    /// segment. Under the caller's ring locks nothing else can mutate
-    /// the file in between, so this *is* what a re-read would see.
-    pub(crate) fn update_segment_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Vec<u8>>, NfsError>,
-    ) -> Result<(Inode, usize, VersionPair, SimDuration), NfsError> {
-        let mut latency = SimDuration::ZERO;
-        for attempt in 0..self.cfg.occ_retries.max(1) {
-            let (mut inode, payload, version, l1) = self.load_sharded(slots, via, fh)?;
-            latency += l1;
-            let new_payload = match mutate(&mut inode, &payload)? {
-                Some(p) => p,
-                None => return Ok((inode, payload.len(), version, latency)),
-            };
-            match self.store_sharded(slots, via, fh, &inode, &new_payload, Some(version)) {
-                Ok((new_version, l2)) => {
-                    return Ok((inode, new_payload.len(), new_version, latency + l2))
-                }
-                Err(NfsError::Io(DeceitError::VersionConflict { .. })) => {
-                    self.cluster.stats.incr("nfs/occ_restarts");
-                    // §5.1: "the whole operation is restarted." Restarting
-                    // takes real time — back off so asynchronously
-                    // propagating updates can land before the re-read (a
-                    // zero-time retry against a write-behind replica would
-                    // spin on the same stale version). Only the held
-                    // slots' deferred work fires during the backoff.
-                    let backoff = SimDuration::from_millis(10 * (attempt as u64 + 1));
-                    self.cluster.advance_sharded(slots, backoff);
-                    latency += backoff;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NfsError::Busy)
-    }
-
-    /// Sharded-path directory load.
-    pub(crate) fn load_dir_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-    ) -> Result<(Inode, Directory, VersionPair, SimDuration), NfsError> {
-        let (inode, payload, version, latency) = self.load_sharded(slots, via, fh)?;
-        if inode.ftype != FileType::Directory.to_byte() {
-            return Err(NfsError::NotDir);
-        }
-        let dir = Directory::decode(&payload)?;
-        Ok((inode, dir, version, latency))
-    }
-
-    /// Sharded-path `GETATTR` (the attribute reply every mutation ends
-    /// with).
-    pub(crate) fn getattr_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-    ) -> NfsResult<FileAttr> {
-        let (inode, payload, version, latency) = self.load_sharded(slots, via, fh)?;
-        let attr = self.attr_from(fh, &inode, payload.len(), version);
-        Ok(OpResult { value: attr, latency })
-    }
-
-    /// Attribute assembly shared by the exclusive and shared read paths.
-    pub(crate) fn attr_from(
-        &self,
-        fh: FileHandle,
-        inode: &Inode,
-        payload_len: usize,
-        version: VersionPair,
-    ) -> FileAttr {
-        FileAttr {
-            handle: fh,
-            ftype: FileType::from_byte(inode.ftype).unwrap_or(FileType::Regular),
-            mode: inode.mode,
-            nlink: inode.nlink,
-            uid: inode.uid,
-            gid: inode.gid,
-            size: payload_len,
-            version,
-            mtime: inode.mtime,
-            ctime: inode.ctime,
-        }
-    }
-
     /// Fault-injection support: applies `f` to a segment's inode header in
     /// place, bypassing normal NFS semantics. Used by tests and the bench
     /// harness to reproduce the §5.2 corrupted-link-count scenarios ("the
@@ -476,11 +286,427 @@ impl DeceitFs {
         f: impl FnOnce(&mut Inode),
     ) -> Result<SimDuration, NfsError> {
         let mut f = Some(f);
-        self.update_segment(via, fh, |inode, payload| {
+        Ok(self.update_inode(via, fh, |inode| {
             if let Some(f) = f.take() {
                 f(inode);
             }
+        })?)
+    }
+}
+
+/// NFS-visible attributes from a loaded inode.
+pub(crate) fn attr_from(
+    fh: FileHandle,
+    inode: &Inode,
+    payload_len: usize,
+    version: VersionPair,
+) -> FileAttr {
+    FileAttr {
+        handle: fh,
+        ftype: FileType::from_byte(inode.ftype).unwrap_or(FileType::Regular),
+        mode: inode.mode,
+        nlink: inode.nlink,
+        uid: inode.uid,
+        gid: inode.gid,
+        size: payload_len,
+        version,
+        mtime: inode.mtime,
+        ctime: inode.ctime,
+    }
+}
+
+// ----------------------------------------------------------------------
+// The segment-I/O seam
+// ----------------------------------------------------------------------
+
+/// Why an operation body stopped without a value.
+#[derive(Debug)]
+pub(crate) enum Stop<D> {
+    /// The operation failed: the error is the reply, in every mode.
+    Fail(NfsError),
+    /// This access mode cannot answer; the host retries under a
+    /// stronger one.
+    Decline(D),
+}
+
+impl<D> From<NfsError> for Stop<D> {
+    fn from(e: NfsError) -> Self {
+        Stop::Fail(e)
+    }
+}
+
+impl<D> From<DeceitError> for Stop<D> {
+    fn from(e: DeceitError) -> Self {
+        Stop::Fail(e.into())
+    }
+}
+
+/// Exclusive access never declines, so its stops are plain errors.
+impl From<Stop<Infallible>> for NfsError {
+    fn from(stop: Stop<Infallible>) -> Self {
+        match stop {
+            Stop::Fail(e) => e,
+            Stop::Decline(never) => match never {},
+        }
+    }
+}
+
+/// An operation's outcome in an access mode that declines with `D`.
+pub(crate) type Served<T, D> = Result<OpResult<T>, Stop<D>>;
+
+/// A loaded segment: (inode, client-visible payload, version, latency).
+pub(crate) type Loaded = (Inode, Bytes, VersionPair, SimDuration);
+
+/// A finished read-modify-write: the inode and payload length as
+/// stored (or as loaded, when the mutation declined to write), the
+/// resulting version pair, and the latency.
+pub(crate) type Updated = (Inode, usize, VersionPair, SimDuration);
+
+/// How one access mode reaches the segment service. The required
+/// methods are the only places the modes differ; the provided plumbing
+/// (load, store, the §5.1 restart loop) is written once above them.
+pub(crate) trait SegIo {
+    /// What a decline carries: [`Infallible`] for exclusive access,
+    /// which answers everything, `()` for the others.
+    type Decline;
+
+    /// The file service behind this access.
+    fn fs(&self) -> &DeceitFs;
+
+    /// Reads a whole segment, inode header included.
+    fn read_whole(&mut self, via: NodeId, fh: FileHandle) -> Served<ReadData, Self::Decline>;
+
+    /// Reads a segment outside the caller's lock footprint — a
+    /// `LOOKUP`'s child. Every mode but ring holds whatever it reads.
+    fn read_unlocked(&mut self, via: NodeId, fh: FileHandle) -> Served<ReadData, Self::Decline> {
+        self.read_whole(via, fh)
+    }
+
+    /// Replaces a segment's contents, conditionally on `expected`.
+    fn write_whole(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        buf: Vec<u8>,
+        expected: Option<VersionPair>,
+    ) -> Served<VersionPair, Self::Decline>;
+
+    /// Lets protocol time pass (the §5.1 restart backoff).
+    fn backoff(&mut self, d: SimDuration);
+
+    /// Reads a file's semantic parameters.
+    fn get_params(&mut self, via: NodeId, fh: FileHandle) -> Served<FileParams, Self::Decline>;
+
+    /// Sets a file's semantic parameters (§4).
+    fn set_params(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        params: FileParams,
+    ) -> Served<(), Self::Decline>;
+
+    /// Errors unless `via` is a live server.
+    fn check_up(&self, via: NodeId) -> Result<(), Stop<Self::Decline>> {
+        Ok(self.fs().cluster.check_up(via)?)
+    }
+
+    /// A mutation's reply attributes, assembled from the update's
+    /// result: under the caller's locks nothing else can change the file
+    /// in between, so this *is* what a re-read would see.
+    fn updated_attr(
+        &mut self,
+        _via: NodeId,
+        fh: FileHandle,
+        (inode, len, version, latency): Updated,
+    ) -> Served<FileAttr, Self::Decline> {
+        Ok(OpResult { value: attr_from(fh, &inode, len, version), latency })
+    }
+
+    /// The whole file service, for requests only exclusive access can
+    /// serve (their footprint escapes any declared lock set).
+    fn exclusive(&mut self) -> Result<&mut DeceitFs, Self::Decline>;
+
+    /// Reads a whole segment and splits it into (inode, payload,
+    /// version).
+    fn load(&mut self, via: NodeId, fh: FileHandle) -> Result<Loaded, Stop<Self::Decline>> {
+        Ok(split(self.read_whole(via, fh)?)?)
+    }
+
+    /// Loads a directory segment's entry table.
+    fn load_dir(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+    ) -> Result<(Inode, Directory, VersionPair, SimDuration), Stop<Self::Decline>> {
+        let (inode, payload, version, latency) = self.load(via, fh)?;
+        if inode.ftype != FileType::Directory.to_byte() {
+            return Err(NfsError::NotDir.into());
+        }
+        let table = Directory::decode(&payload).map_err(NfsError::Corrupt)?;
+        Ok((inode, table, version, latency))
+    }
+
+    /// Writes a segment's inode + payload conditionally on `expected`.
+    fn store(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        inode: &Inode,
+        payload: &[u8],
+        expected: Option<VersionPair>,
+    ) -> Result<(VersionPair, SimDuration), Stop<Self::Decline>> {
+        let mut buf = inode.encode();
+        buf.extend_from_slice(payload);
+        let w = self.write_whole(via, fh, buf, expected)?;
+        Ok((w.value, w.latency))
+    }
+
+    /// Rewrites a segment's inode header in place (the payload is kept)
+    /// under the §5.1 restart loop, returning the latency.
+    fn update_inode(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        mut f: impl FnMut(&mut Inode),
+    ) -> Result<SimDuration, Stop<Self::Decline>> {
+        let updated = self.update_segment(via, fh, |inode, payload| {
+            f(inode);
             Ok(Some(payload.to_vec()))
-        })
+        })?;
+        Ok(updated.3)
+    }
+
+    /// Runs a read-modify-write on a segment with the §5.1 restart loop.
+    /// `mutate` returns `Ok(Some(payload))` to write, `Ok(None)` to leave
+    /// the segment untouched.
+    fn update_segment(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Vec<u8>>, NfsError>,
+    ) -> Result<Updated, Stop<Self::Decline>> {
+        let mut latency = SimDuration::ZERO;
+        for attempt in 0..self.fs().cfg.occ_retries.max(1) {
+            let (mut inode, payload, version, l1) = self.load(via, fh)?;
+            latency += l1;
+            let Some(new_payload) = mutate(&mut inode, &payload)? else {
+                return Ok((inode, payload.len(), version, latency));
+            };
+            match self.store(via, fh, &inode, &new_payload, Some(version)) {
+                Ok((new_version, l2)) => {
+                    return Ok((inode, new_payload.len(), new_version, latency + l2))
+                }
+                Err(Stop::Fail(NfsError::Io(DeceitError::VersionConflict { .. }))) => {
+                    self.fs().cluster.stats.incr("nfs/occ_restarts");
+                    // §5.1: "the whole operation is restarted." Restarting
+                    // takes real time — back off so asynchronously
+                    // propagating updates can land before the re-read (a
+                    // zero-time retry against a write-behind replica would
+                    // spin on the same stale version).
+                    let backoff = SimDuration::from_millis(10 * (attempt as u64 + 1));
+                    self.backoff(backoff);
+                    latency += backoff;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(NfsError::Busy.into())
+    }
+}
+
+/// Splits a whole-segment read into (inode, payload, version, latency).
+pub(crate) fn split(read: OpResult<ReadData>) -> Result<Loaded, NfsError> {
+    let (inode, hdr_len) = Inode::decode(&read.value.data)?;
+    Ok((inode, read.value.data.slice(hdr_len..), read.value.version, read.latency))
+}
+
+/// Exclusive access: the full protocol through `&mut Cluster`.
+impl SegIo for DeceitFs {
+    type Decline = Infallible;
+
+    fn fs(&self) -> &DeceitFs {
+        self
+    }
+
+    /// Straight to the full protocol read, with no snapshot shortcut:
+    /// forwarding, group joins, cache updates and clock accounting
+    /// always run, as the simulator's figures assume.
+    fn read_whole(&mut self, via: NodeId, fh: FileHandle) -> Served<ReadData, Infallible> {
+        Ok(self.cluster.read(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?)
+    }
+
+    fn write_whole(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        buf: Vec<u8>,
+        expected: Option<VersionPair>,
+    ) -> Served<VersionPair, Infallible> {
+        Ok(self.cluster.write(via, fh.seg, WriteOp::Replace(buf), expected)?)
+    }
+
+    fn backoff(&mut self, d: SimDuration) {
+        self.cluster.advance(d);
+    }
+
+    fn get_params(&mut self, via: NodeId, fh: FileHandle) -> Served<FileParams, Infallible> {
+        Ok(self.cluster.get_params(via, fh.seg)?)
+    }
+
+    fn set_params(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        params: FileParams,
+    ) -> Served<(), Infallible> {
+        Ok(self.cluster.set_params(via, fh.seg, params)?)
+    }
+
+    /// Re-reads the attributes after the update (a full protocol read,
+    /// charged to the reply's latency) rather than assembling them from
+    /// the update's result.
+    fn updated_attr(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        updated: Updated,
+    ) -> Served<FileAttr, Infallible> {
+        let mut out = crate::ops_read::getattr(self, via, fh)?;
+        out.latency += updated.3;
+        Ok(out)
+    }
+
+    fn exclusive(&mut self) -> Result<&mut DeceitFs, Infallible> {
+        Ok(self)
+    }
+}
+
+/// Ring access: shared cell access plus the ring locks of `slots` (the
+/// slots of the request's `OpClass`). Every cluster call fires deferred
+/// work only within those slots.
+pub(crate) struct Ring<'a> {
+    /// The file service, shared.
+    pub fs: &'a DeceitFs,
+    /// The ring-lock slots the caller holds.
+    pub slots: &'a [usize],
+}
+
+impl SegIo for Ring<'_> {
+    type Decline = ();
+
+    fn fs(&self) -> &DeceitFs {
+        self.fs
+    }
+
+    /// The snapshot reads first, then the full read protocol —
+    /// forwarding, group joins, LRU touches — scoped to the held slots.
+    fn read_whole(&mut self, via: NodeId, fh: FileHandle) -> Served<ReadData, ()> {
+        match self.read_unlocked(via, fh) {
+            Err(Stop::Decline(())) => {
+                let c = &self.fs.cluster;
+                Ok(c.read_sharded(self.slots, via, fh.seg, fh.version, 0, WHOLE_SEGMENT)?)
+            }
+            snapshot => snapshot,
+        }
+    }
+
+    /// The single-acquisition snapshot reads only — a local stable
+    /// replica, then the token holder's primary copy (the steady state
+    /// of a write stream). The full read protocol mutates the file's
+    /// slot state, and the caller does not hold that slot's lock, so a
+    /// child no snapshot serves declines.
+    fn read_unlocked(&mut self, via: NodeId, fh: FileHandle) -> Served<ReadData, ()> {
+        let c = &self.fs.cluster;
+        c.try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)
+            .or_else(|| c.try_read_primary(via, fh.seg, fh.version, 0, WHOLE_SEGMENT))
+            .ok_or(Stop::Decline(()))
+    }
+
+    fn write_whole(
+        &mut self,
+        via: NodeId,
+        fh: FileHandle,
+        buf: Vec<u8>,
+        expected: Option<VersionPair>,
+    ) -> Served<VersionPair, ()> {
+        Ok(self.fs.cluster.write_sharded(
+            self.slots,
+            via,
+            fh.seg,
+            WriteOp::Replace(buf),
+            expected,
+        )?)
+    }
+
+    /// Only the held slots' deferred work fires during the backoff.
+    fn backoff(&mut self, d: SimDuration) {
+        self.fs.cluster.advance_sharded(self.slots, d);
+    }
+
+    fn get_params(&mut self, via: NodeId, fh: FileHandle) -> Served<FileParams, ()> {
+        Ok(self.fs.cluster.get_params_sharded(self.slots, via, fh.seg)?)
+    }
+
+    fn set_params(&mut self, via: NodeId, fh: FileHandle, params: FileParams) -> Served<(), ()> {
+        Ok(self.fs.cluster.set_params_sharded(self.slots, via, fh.seg, params)?)
+    }
+
+    fn exclusive(&mut self) -> Result<&mut DeceitFs, ()> {
+        Err(())
+    }
+}
+
+/// Shared access: the shared cell lock alone, concurrent with every
+/// other reader. It answers exactly when the serving server can read
+/// every segment involved locally, and answers deterministic errors
+/// (a missing name, a type mismatch, a corrupt segment) itself; every
+/// failure that depends on cluster state declines to a stronger mode.
+pub(crate) struct SharedAccess<'a>(pub &'a DeceitFs);
+
+impl SegIo for SharedAccess<'_> {
+    type Decline = ();
+
+    fn fs(&self) -> &DeceitFs {
+        self.0
+    }
+
+    /// A local stable replica — or, under
+    /// `ClusterConfig::opt_read_leases`, the token holder's own leased
+    /// copy mid-write-stream (§3.4) — or a decline.
+    fn read_whole(&mut self, via: NodeId, fh: FileHandle) -> Served<ReadData, ()> {
+        self.0
+            .cluster
+            .try_read_local(via, fh.seg, fh.version, 0, WHOLE_SEGMENT)
+            .ok_or(Stop::Decline(()))
+    }
+
+    fn write_whole(
+        &mut self,
+        _via: NodeId,
+        _fh: FileHandle,
+        _buf: Vec<u8>,
+        _expected: Option<VersionPair>,
+    ) -> Served<VersionPair, ()> {
+        Err(Stop::Decline(()))
+    }
+
+    /// Never reached: shared access declines every write first.
+    fn backoff(&mut self, _d: SimDuration) {}
+
+    fn get_params(&mut self, _via: NodeId, _fh: FileHandle) -> Served<FileParams, ()> {
+        Err(Stop::Decline(()))
+    }
+
+    fn set_params(&mut self, _via: NodeId, _fh: FileHandle, _p: FileParams) -> Served<(), ()> {
+        Err(Stop::Decline(()))
+    }
+
+    /// A down server declines, so the exclusive path reports it.
+    fn check_up(&self, via: NodeId) -> Result<(), Stop<()>> {
+        self.0.cluster.check_up(via).map_err(|_| Stop::Decline(()))
+    }
+
+    fn exclusive(&mut self) -> Result<&mut DeceitFs, ()> {
+        Err(())
     }
 }

@@ -8,11 +8,12 @@
 //! uplink list. If none have a link to the file, the segment is
 //! deallocated; otherwise, the link count is corrected."
 
+use deceit_core::VersionInfo;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{DeceitFs, NfsError};
+use crate::fs::{DeceitFs, NfsError, SegIo, WHOLE_SEGMENT};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 
@@ -23,38 +24,13 @@ pub fn collect_if_unlinked(
     via: NodeId,
     target: FileHandle,
 ) -> Result<SimDuration, NfsError> {
-    let mut latency = SimDuration::ZERO;
-    let (inode, _, _, l0) = fs.load(via, target)?;
-    latency += l0;
-
-    // Scan every available version of every uplink directory.
-    let mut true_links = 0u32;
-    for dir_seg in inode.uplinks.clone() {
-        let versions = match fs.cluster.list_versions(via, dir_seg) {
-            Ok(r) => {
-                latency += r.latency;
-                r.value
-            }
-            Err(_) => continue, // directory gone entirely
-        };
-        for v in versions {
-            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, 64 * 1024 * 1024) else {
-                continue;
-            };
-            latency += read.latency;
-            let Ok((_, hdr_len)) = Inode::decode(&read.value.data) else {
-                continue;
-            };
-            let Ok(table) = Directory::decode(&read.value.data[hdr_len..]) else {
-                continue;
-            };
-            // Count entries, not directories: two hard links from the
-            // same directory are two links.
-            true_links +=
-                table.entries().iter().filter(|e| e.handle.segment() == target.seg).count() as u32;
-        }
-    }
-
+    let (versions, mut latency) = uplink_versions(fs, via, target)?;
+    // Count entries, not directories: two hard links from the same
+    // directory are two links.
+    let true_links: usize = versions
+        .iter()
+        .map(|(_, table)| table.entries().iter().filter(|e| e.handle.seg == target.seg).count())
+        .sum();
     if true_links == 0 {
         // Deallocate the segment.
         let del = fs.cluster.delete(via, target.seg)?;
@@ -63,10 +39,7 @@ pub fn collect_if_unlinked(
     } else {
         // The hint was wrong: correct it (§5.2 "the link count is
         // corrected").
-        latency += fs.update_segment(via, target, |inode, payload| {
-            inode.nlink = true_links;
-            Ok(Some(payload.to_vec()))
-        })?;
+        latency += fs.update_inode(via, target, |inode| inode.nlink = true_links as u32)?;
         fs.cluster.stats.incr("nfs/gc/corrected");
     }
     Ok(latency)
@@ -80,29 +53,41 @@ pub fn total_link_copies(
     via: NodeId,
     target: FileHandle,
 ) -> Result<u64, NfsError> {
-    let (inode, _, _, _) = fs.load(via, target)?;
-    let mut total = 0u64;
-    for dir_seg in inode.uplinks.clone() {
-        let versions = match fs.cluster.list_versions(via, dir_seg) {
-            Ok(r) => r.value,
-            Err(_) => continue,
+    let (versions, _) = uplink_versions(fs, via, target)?;
+    // Count one per replica of each version that links to the file.
+    let linking = versions.iter().filter(|(_, table)| table.links_to(target.seg));
+    Ok(linking.map(|(v, _)| v.holders.len() as u64).sum())
+}
+
+/// Every available version of every directory in `target`'s uplink
+/// list, with its entry table and the time spent reading them all.
+/// Directories that are gone and versions that cannot be read or
+/// decoded are skipped.
+fn uplink_versions(
+    fs: &mut DeceitFs,
+    via: NodeId,
+    target: FileHandle,
+) -> Result<(Vec<(VersionInfo, Directory)>, SimDuration), NfsError> {
+    let (inode, _, _, mut latency) = fs.load(via, target)?;
+    let mut found = Vec::new();
+    for dir_seg in inode.uplinks {
+        let Ok(versions) = fs.cluster.list_versions(via, dir_seg) else {
+            continue; // directory gone entirely
         };
-        for v in versions {
-            // Does this version of the directory link to the file?
-            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, 64 * 1024 * 1024) else {
+        latency += versions.latency;
+        for v in versions.value {
+            let Ok(read) = fs.cluster.read(via, dir_seg, Some(v.major), 0, WHOLE_SEGMENT) else {
                 continue;
             };
+            latency += read.latency;
             let Ok((_, hdr_len)) = Inode::decode(&read.value.data) else {
                 continue;
             };
             let Ok(table) = Directory::decode(&read.value.data[hdr_len..]) else {
                 continue;
             };
-            if table.links_to(target.seg) {
-                // Count one per replica of this version.
-                total += v.holders.len() as u64;
-            }
+            found.push((v, table));
         }
     }
-    Ok(total)
+    Ok((found, latency))
 }

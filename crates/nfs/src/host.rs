@@ -4,19 +4,21 @@
 //! software, it is totally independent of the underlying implementation
 //! of the segment service." The same independence holds upward: the
 //! envelope does not care *who* delivers requests to it. [`NfsService`]
-//! captures the request-serving surface a transport needs, and the
-//! [`deceit_core::ProtocolHost`] implementations below forward failure
+//! captures the request-serving surface a transport needs: one entry
+//! point per access mode, each running the same request match
+//! ([`crate::rpc::dispatch`]) over its own segment-I/O seam. The
+//! [`deceit_core::ProtocolHost`] implementation below forwards failure
 //! injection and deferred-work pumping to the segment-server cluster
 //! underneath, so the whole stack can be hosted by the deterministic
 //! simulator and the live threaded runtime alike.
 
-use deceit_core::ProtocolHost;
+use deceit_core::{OpClass, ProtocolHost};
 use deceit_net::NodeId;
 use deceit_sim::{SimDuration, SimTime};
 
-use crate::fs::DeceitFs;
+use crate::fs::{Ring, SegIo, SharedAccess};
 use crate::handle::FileHandle;
-use crate::rpc::{NfsReply, NfsRequest, NfsServer};
+use crate::rpc::{dispatch, NfsReply, NfsRequest, NfsServer};
 
 /// A transport-agnostic NFS request service.
 pub trait NfsService {
@@ -71,6 +73,35 @@ pub trait NfsService {
     }
 }
 
+impl NfsServer {
+    /// Runs one serve attempt in a shared-lock mode, timing it into the
+    /// serve-execution histogram when it answers.
+    fn timed<M: SegIo<Decline = ()>>(
+        &self,
+        mut io: M,
+        via: NodeId,
+        req: &NfsRequest,
+    ) -> Option<(NfsReply, SimDuration)> {
+        let start = std::time::Instant::now();
+        let served = dispatch(&mut io, via, req).ok()?;
+        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
+        Some(served)
+    }
+
+    /// Runs one serve attempt under the ring locks of `class`'s slots
+    /// (gathered in a stack buffer).
+    fn serve_ring(
+        &self,
+        class: OpClass,
+        via: NodeId,
+        req: &NfsRequest,
+    ) -> Option<(NfsReply, SimDuration)> {
+        let mut buf = [0usize; 2];
+        let n = class.slots_into(self.fs.cluster.shard_count(), &mut buf);
+        self.timed(Ring { fs: &self.fs, slots: &buf[..n] }, via, req)
+    }
+}
+
 impl NfsService for NfsServer {
     fn mount_root(&self) -> FileHandle {
         self.mount()
@@ -84,154 +115,87 @@ impl NfsService for NfsServer {
     }
 
     fn serve_shared(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let start = std::time::Instant::now();
-        let served = self.handle_shared(via, req)?;
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        Some(served)
+        req.is_read_only().then(|| self.timed(SharedAccess(&self.fs), via, req)).flatten()
     }
 
     fn serve_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let start = std::time::Instant::now();
-        let served = self.handle_sharded(via, req)?;
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        Some(served)
+        (!req.is_read_only()).then(|| self.serve_ring(req.class(), via, req)).flatten()
     }
 
     fn serve_read_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let start = std::time::Instant::now();
-        let served = self.handle_read_sharded(via, req)?;
-        self.fs.cluster.obs.serve_exec.record_micros(start.elapsed());
-        Some(served)
+        let key = req.shard_key().filter(|_| req.is_read_only())?;
+        self.serve_ring(OpClass::Mutate(key), via, req)
     }
 }
 
-impl ProtocolHost for DeceitFs {
-    fn pump(&mut self, max_events: usize) -> usize {
-        self.cluster.pump(max_events)
-    }
-
-    fn shard_count(&self) -> usize {
-        self.cluster.shard_count()
-    }
-
-    fn try_pump_shard(&self, slot: usize, max_events: usize) -> Option<usize> {
-        Some(self.cluster.pump_shard(slot, max_events))
-    }
-
-    fn pending_shard_mask(&self) -> u64 {
-        self.cluster.pending_shard_mask()
-    }
-
-    fn advance_idle_clock(&self, d: SimDuration) {
-        ProtocolHost::advance_idle_clock(&self.cluster, d);
-    }
-
-    fn settle(&mut self) {
-        self.cluster.run_until_quiet();
-    }
-
-    fn pending_work(&self) -> usize {
-        self.cluster.pending_events()
-    }
-
-    fn crash_node(&mut self, node: NodeId) {
-        self.cluster.crash_server(node);
-    }
-
-    fn restart_node(&mut self, node: NodeId) {
-        self.cluster.recover_server(node);
-    }
-
-    fn split_nodes(&mut self, groups: &[&[NodeId]]) {
-        self.cluster.split(groups);
-    }
-
-    fn heal_nodes(&mut self) {
-        self.cluster.heal();
-    }
-
-    fn node_is_up(&self, node: NodeId) -> bool {
-        self.cluster.check_up(node).is_ok()
-    }
-
-    fn protocol_now(&self) -> SimTime {
-        self.cluster.now()
-    }
-
-    fn obs_core(&self) -> Option<&deceit_core::ObsCore> {
-        ProtocolHost::obs_core(&self.cluster)
-    }
-
-    fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        ProtocolHost::stats_snapshot(&self.cluster)
-    }
-}
-
+/// Forwards deferred-work pumping and failure injection to the
+/// segment-server cluster underneath.
 impl ProtocolHost for NfsServer {
     fn pump(&mut self, max_events: usize) -> usize {
-        self.fs.pump(max_events)
+        self.fs.cluster.pump(max_events)
     }
 
     fn shard_count(&self) -> usize {
-        self.fs.shard_count()
+        self.fs.cluster.shard_count()
     }
 
     fn try_pump_shard(&self, slot: usize, max_events: usize) -> Option<usize> {
-        self.fs.try_pump_shard(slot, max_events)
+        self.fs.cluster.try_pump_shard(slot, max_events)
     }
 
     fn pending_shard_mask(&self) -> u64 {
-        self.fs.pending_shard_mask()
+        self.fs.cluster.pending_shard_mask()
     }
 
     fn advance_idle_clock(&self, d: SimDuration) {
-        self.fs.advance_idle_clock(d);
+        self.fs.cluster.advance_idle_clock(d);
     }
 
     fn settle(&mut self) {
-        self.fs.settle();
+        self.fs.cluster.settle();
     }
 
     fn pending_work(&self) -> usize {
-        self.fs.pending_work()
+        self.fs.cluster.pending_work()
     }
 
     fn crash_node(&mut self, node: NodeId) {
-        self.fs.crash_node(node);
+        self.fs.cluster.crash_node(node);
     }
 
     fn restart_node(&mut self, node: NodeId) {
-        self.fs.restart_node(node);
+        self.fs.cluster.restart_node(node);
     }
 
     fn split_nodes(&mut self, groups: &[&[NodeId]]) {
-        self.fs.split_nodes(groups);
+        self.fs.cluster.split_nodes(groups);
     }
 
     fn heal_nodes(&mut self) {
-        self.fs.heal_nodes();
+        self.fs.cluster.heal_nodes();
     }
 
     fn node_is_up(&self, node: NodeId) -> bool {
-        self.fs.node_is_up(node)
+        self.fs.cluster.node_is_up(node)
     }
 
     fn protocol_now(&self) -> SimTime {
-        self.fs.protocol_now()
+        self.fs.cluster.protocol_now()
     }
 
     fn obs_core(&self) -> Option<&deceit_core::ObsCore> {
-        self.fs.obs_core()
+        self.fs.cluster.obs_core()
     }
 
     fn stats_snapshot(&self) -> Option<deceit_sim::StatsSnapshot> {
-        self.fs.stats_snapshot()
+        self.fs.cluster.stats_snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::DeceitFs;
 
     #[test]
     fn nfs_server_hosts_the_stack() {

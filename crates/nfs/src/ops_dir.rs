@@ -14,17 +14,28 @@
 //! * `rename` — both directories are in the request: `CrossShard`.
 //! * `link` — the target handle and the directory are both in the
 //!   request: `CrossShard`.
+//!
+//! Every operation has one body. `link` is generic over the access mode
+//! ([`SegIo`]): both files it rewrites are named in the request, so the
+//! ring mode's locks cover its whole footprint. The rest run with
+//! exclusive access only. Removals and renames rewrite a segment the
+//! request does not name. Creations do too, in effect: the newborn is
+//! unaddressable to other *requests* until published, but its deferred
+//! protocol work (stabilize checks, flushes, replica fills) lands in the
+//! newborn's own slot queue, which the pump drains under that slot's
+//! ring lock — a lock the creator does not hold. Only the exclusive
+//! cell lock keeps the pump out.
 
 use deceit_core::OpResult;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::{DirEntry, Directory};
-use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult};
+use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult, SegIo, Served, Stop};
 use crate::gc;
 use crate::handle::FileHandle;
 use crate::inode::Inode;
-use crate::name::QualifiedName;
+use crate::name::{NameError, QualifiedName};
 
 impl DeceitFs {
     /// `CREATE`: a new regular file.
@@ -97,28 +108,16 @@ impl DeceitFs {
         let mut inode = Inode::new(ftype.to_byte(), mode, now);
         inode.nlink = 1;
         inode.add_uplink(dir.seg);
-        let (_, l1) = self.store(via, fh, &inode, payload, None)?;
-        latency += l1;
+        latency += self.store(via, fh, &inode, payload, None)?.1;
 
         // Add the directory entry under the §5.1 restart loop.
-        let entry = DirEntry { name: q.base.clone(), handle: fh, ftype: ftype.to_byte() };
-        let insert_res = self.update_segment(via, dir, |dnode, dpayload| {
-            if dnode.ftype != FileType::Directory.to_byte() {
-                return Err(NfsError::NotDir);
-            }
-            let mut table = Directory::decode(dpayload)?;
-            if !table.insert(entry.clone()) {
-                return Err(NfsError::Exists);
-            }
-            dnode.mtime = now;
-            Ok(Some(table.encode()))
-        });
-        match insert_res {
+        let entry = DirEntry { name: q.base, handle: fh, ftype: ftype.to_byte() };
+        match insert_entry(self, via, dir, &entry, false, now) {
             Ok(l2) => latency += l2,
             Err(e) => {
                 // Roll the orphan segment back before surfacing the error.
                 let _ = self.cluster.delete(via, seg);
-                return Err(e);
+                return Err(e.into());
             }
         }
         let mut out = self.getattr(via, fh)?;
@@ -144,70 +143,6 @@ impl DeceitFs {
         Ok(out)
     }
 
-    // ------------------------------------------------------------------
-    // Sharded-path twins (`&self` + held ring locks)
-    //
-    // Only `link` qualifies: both files it rewrites are named in the
-    // request, so the class's ring locks cover the whole footprint.
-    // Creations do NOT — the newborn segment is unaddressable to other
-    // *requests* until published, but its deferred protocol work
-    // (stabilize checks, flushes, replica fills) lands in the newborn's
-    // own slot queue, which the pump drains under that slot's ring lock
-    // — a lock the creator does not hold. Creations therefore run on
-    // the exclusive path, where the pump is excluded by the cell lock.
-    // ------------------------------------------------------------------
-
-    /// Sharded-path `LINK`: both the target and the directory are named
-    /// in the request, so the class's two ring locks cover the whole
-    /// footprint.
-    pub fn link_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        target: FileHandle,
-        dir: FileHandle,
-        name: &str,
-    ) -> NfsResult<()> {
-        let q = QualifiedName::parse(name)?;
-        if q.version.is_some() {
-            return Err(NfsError::Name(crate::name::NameError::BadVersion(
-                "hard links cannot be version-qualified".to_string(),
-            )));
-        }
-        let mut latency = SimDuration::ZERO;
-        let now = self.cluster.now().as_micros();
-        let (tnode, _, _, l0) = self.load_sharded(slots, via, target)?;
-        latency += l0;
-        if tnode.ftype == FileType::Directory.to_byte() {
-            return Err(NfsError::IsDir);
-        }
-        let dir_seg = dir.seg;
-        latency += self
-            .update_segment_sharded(slots, via, target, |inode, payload| {
-                inode.nlink += 1;
-                inode.add_uplink(dir_seg);
-                inode.ctime = now;
-                Ok(Some(payload.to_vec()))
-            })?
-            .3;
-        let entry =
-            DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
-        latency += self
-            .update_segment_sharded(slots, via, dir, |dnode, dpayload| {
-                if dnode.ftype != FileType::Directory.to_byte() {
-                    return Err(NfsError::NotDir);
-                }
-                let mut t = Directory::decode(dpayload)?;
-                if !t.insert(entry.clone()) {
-                    return Err(NfsError::Exists);
-                }
-                dnode.mtime = now;
-                Ok(Some(t.encode()))
-            })?
-            .3;
-        Ok(OpResult { value: (), latency })
-    }
-
     /// `REMOVE`: unlinks a file or symlink from a directory.
     pub fn remove(&mut self, via: NodeId, dir: FileHandle, name: &str) -> NfsResult<()> {
         let q = QualifiedName::parse(name)?;
@@ -231,20 +166,13 @@ impl DeceitFs {
         }
 
         // Drop the directory entry (restart loop).
-        latency += self.update_segment(via, dir, |dnode, dpayload| {
-            let mut t = Directory::decode(dpayload)?;
-            if t.remove(&q.base).is_none() {
-                return Err(NfsError::NotFound);
-            }
-            dnode.mtime = now;
-            Ok(Some(t.encode()))
-        })?;
+        latency += remove_entry(self, via, dir, &q.base, now)?;
 
         // Decrement the link-count hint; on zero run the uplink check.
         let target = entry.handle;
         let dir_seg = dir.seg;
         let mut went_zero = false;
-        latency += self.update_segment(via, target, |inode, payload| {
+        latency += self.update_inode(via, target, |inode| {
             inode.nlink = inode.nlink.saturating_sub(1);
             inode.ctime = now;
             // The uplink stays if other links from this directory remain;
@@ -254,7 +182,6 @@ impl DeceitFs {
             } else {
                 inode.remove_uplink(dir_seg);
             }
-            Ok(Some(payload.to_vec()))
         })?;
         if went_zero {
             latency += gc::collect_if_unlinked(self, via, target)?;
@@ -278,16 +205,8 @@ impl DeceitFs {
             return Err(NfsError::NotEmpty);
         }
         let now = self.cluster.now().as_micros();
-        latency += self.update_segment(via, dir, |dnode, dpayload| {
-            let mut t = Directory::decode(dpayload)?;
-            if t.remove(&q.base).is_none() {
-                return Err(NfsError::NotFound);
-            }
-            dnode.mtime = now;
-            Ok(Some(t.encode()))
-        })?;
-        let del = self.cluster.delete(via, entry.handle.seg)?;
-        latency += del.latency;
+        latency += remove_entry(self, via, dir, &q.base, now)?;
+        latency += self.cluster.delete(via, entry.handle.seg)?.latency;
         Ok(OpResult { value: (), latency })
     }
 
@@ -318,43 +237,23 @@ impl DeceitFs {
 
         // 1. Uplink to the destination directory.
         let to_seg = to_dir.seg;
-        latency += self.update_segment(via, target, |inode, payload| {
+        latency += self.update_inode(via, target, |inode| {
             inode.add_uplink(to_seg);
             inode.ctime = now;
-            Ok(Some(payload.to_vec()))
         })?;
 
         // 2. Entry in the destination (replacing any existing target
         // entry, per POSIX rename).
-        let new_entry = DirEntry { name: qt.base.clone(), handle: target, ftype: entry.ftype };
-        latency += self.update_segment(via, to_dir, |dnode, dpayload| {
-            if dnode.ftype != FileType::Directory.to_byte() {
-                return Err(NfsError::NotDir);
-            }
-            let mut t = Directory::decode(dpayload)?;
-            t.remove(&qt.base);
-            t.insert(new_entry.clone());
-            dnode.mtime = now;
-            Ok(Some(t.encode()))
-        })?;
+        let new_entry = DirEntry { name: qt.base, handle: target, ftype: entry.ftype };
+        latency += insert_entry(self, via, to_dir, &new_entry, true, now)?;
 
         // 3. Remove the source entry.
-        latency += self.update_segment(via, from_dir, |dnode, dpayload| {
-            let mut t = Directory::decode(dpayload)?;
-            if t.remove(&qf.base).is_none() {
-                return Err(NfsError::NotFound);
-            }
-            dnode.mtime = now;
-            Ok(Some(t.encode()))
-        })?;
+        latency += remove_entry(self, via, from_dir, &qf.base, now)?;
 
         // 4. Drop the stale uplink (unless it was a same-directory rename).
         if from_dir.seg != to_dir.seg {
             let from_seg = from_dir.seg;
-            latency += self.update_segment(via, target, |inode, payload| {
-                inode.remove_uplink(from_seg);
-                Ok(Some(payload.to_vec()))
-            })?;
+            latency += self.update_inode(via, target, |inode| inode.remove_uplink(from_seg))?;
         }
         Ok(OpResult { value: (), latency })
     }
@@ -367,42 +266,90 @@ impl DeceitFs {
         dir: FileHandle,
         name: &str,
     ) -> NfsResult<()> {
-        let q = QualifiedName::parse(name)?;
-        if q.version.is_some() {
-            return Err(NfsError::Name(crate::name::NameError::BadVersion(
-                "hard links cannot be version-qualified".to_string(),
-            )));
-        }
-        let mut latency = SimDuration::ZERO;
-        let now = self.cluster.now().as_micros();
-        let (tnode, _, _, l0) = self.load(via, target)?;
-        latency += l0;
-        if tnode.ftype == FileType::Directory.to_byte() {
-            return Err(NfsError::IsDir);
-        }
-        // §5.2: "When a hard link is made to f in directory d, d is added
-        // to the uplink list of all versions of f which can be updated at
-        // that time" — updates flow to the current version.
-        let dir_seg = dir.seg;
-        latency += self.update_segment(via, target, |inode, payload| {
-            inode.nlink += 1;
-            inode.add_uplink(dir_seg);
-            inode.ctime = now;
-            Ok(Some(payload.to_vec()))
-        })?;
-        let entry =
-            DirEntry { name: q.base.clone(), handle: target.unpinned(), ftype: tnode.ftype };
-        latency += self.update_segment(via, dir, |dnode, dpayload| {
-            if dnode.ftype != FileType::Directory.to_byte() {
-                return Err(NfsError::NotDir);
-            }
-            let mut t = Directory::decode(dpayload)?;
-            if !t.insert(entry.clone()) {
-                return Err(NfsError::Exists);
-            }
-            dnode.mtime = now;
-            Ok(Some(t.encode()))
-        })?;
-        Ok(OpResult { value: (), latency })
+        Ok(link(self, via, target, dir, name)?)
     }
+}
+
+/// `LINK` in any access mode: both the target and the directory are
+/// named in the request, so the class's two ring locks cover the whole
+/// footprint.
+pub(crate) fn link<M: SegIo>(
+    io: &mut M,
+    via: NodeId,
+    target: FileHandle,
+    dir: FileHandle,
+    name: &str,
+) -> Served<(), M::Decline> {
+    let q = QualifiedName::parse(name).map_err(NfsError::Name)?;
+    if q.version.is_some() {
+        let e = NameError::BadVersion("hard links cannot be version-qualified".to_string());
+        return Err(NfsError::Name(e).into());
+    }
+    let mut latency = SimDuration::ZERO;
+    let now = io.fs().cluster.now().as_micros();
+    let (tnode, _, _, l0) = io.load(via, target)?;
+    latency += l0;
+    if tnode.ftype == FileType::Directory.to_byte() {
+        return Err(NfsError::IsDir.into());
+    }
+    // §5.2: "When a hard link is made to f in directory d, d is added
+    // to the uplink list of all versions of f which can be updated at
+    // that time" — updates flow to the current version.
+    let dir_seg = dir.seg;
+    latency += io.update_inode(via, target, |inode| {
+        inode.nlink += 1;
+        inode.add_uplink(dir_seg);
+        inode.ctime = now;
+    })?;
+    let entry = DirEntry { name: q.base, handle: target.unpinned(), ftype: tnode.ftype };
+    latency += insert_entry(io, via, dir, &entry, false, now)?;
+    Ok(OpResult { value: (), latency })
+}
+
+/// Adds `entry` to directory `dir` under the §5.1 restart loop. An
+/// existing entry of that name is EEXIST, or is replaced when `replace`
+/// is set (POSIX rename).
+fn insert_entry<M: SegIo>(
+    io: &mut M,
+    via: NodeId,
+    dir: FileHandle,
+    entry: &DirEntry,
+    replace: bool,
+    now: u64,
+) -> Result<SimDuration, Stop<M::Decline>> {
+    let updated = io.update_segment(via, dir, |dnode, dpayload| {
+        if dnode.ftype != FileType::Directory.to_byte() {
+            return Err(NfsError::NotDir);
+        }
+        let mut table = Directory::decode(dpayload)?;
+        if replace {
+            table.remove(&entry.name);
+        }
+        if !table.insert(entry.clone()) {
+            return Err(NfsError::Exists);
+        }
+        dnode.mtime = now;
+        Ok(Some(table.encode()))
+    })?;
+    Ok(updated.3)
+}
+
+/// Drops `name`'s entry from directory `dir` under the §5.1 restart
+/// loop.
+fn remove_entry<M: SegIo>(
+    io: &mut M,
+    via: NodeId,
+    dir: FileHandle,
+    name: &str,
+    now: u64,
+) -> Result<SimDuration, Stop<M::Decline>> {
+    let updated = io.update_segment(via, dir, |dnode, dpayload| {
+        let mut table = Directory::decode(dpayload)?;
+        if table.remove(name).is_none() {
+            return Err(NfsError::NotFound);
+        }
+        dnode.mtime = now;
+        Ok(Some(table.encode()))
+    })?;
+    Ok(updated.3)
 }

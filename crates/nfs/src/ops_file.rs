@@ -1,16 +1,26 @@
-//! Single-file mutating entry points (`OpClass::Mutate`).
+//! Single-file mutating operations (`OpClass::Mutate`).
 //!
 //! Every operation here rewrites exactly one segment — the one its file
 //! handle names — through the §5.1 optimistic read-modify-write loop.
 //! A concurrent host serializes them per shard (the handle's segment id
-//! is the shard key): the `*_sharded` twins run under the shared cell
-//! lock plus the file's shard ring lock, concurrently with reads and
-//! with mutations of files in other shards.
+//! is the shard key). Each has one body, generic over the access mode
+//! ([`SegIo`]): the `&mut self` methods run it with exclusive access,
+//! and the ring mode runs it under the shared cell lock plus the file's
+//! ring lock, concurrently with reads and with mutations of files in
+//! other shards. Shared access declines every write.
+//!
+//! Under the asynchronous write pipeline (the live runtime's default), a
+//! write's reply means: durable at the token holder plus the file's
+//! `write_safety - 1` synchronous replicas; propagation to the rest of
+//! the group is deferred work the pump ships in batches, with lagging
+//! replicas' reads forwarding to the holder meanwhile (§3.4). See the
+//! README's "failure semantics" section for what a holder crash
+//! recovers.
 
-use deceit_core::{FileParams, OpResult};
+use deceit_core::FileParams;
 use deceit_net::NodeId;
 
-use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult};
+use crate::fs::{check_fits, DeceitFs, FileAttr, FileType, NfsError, NfsResult, SegIo, Served};
 use crate::handle::FileHandle;
 
 impl DeceitFs {
@@ -24,31 +34,7 @@ impl DeceitFs {
         gid: Option<u32>,
         size: Option<usize>,
     ) -> NfsResult<FileAttr> {
-        let now = self.cluster.now().as_micros();
-        let latency = self.update_segment(via, fh, |inode, payload| {
-            if size.is_some() && inode.ftype == FileType::Directory.to_byte() {
-                return Err(NfsError::IsDir);
-            }
-            if let Some(m) = mode {
-                inode.mode = m;
-            }
-            if let Some(u) = uid {
-                inode.uid = u;
-            }
-            if let Some(g) = gid {
-                inode.gid = g;
-            }
-            inode.ctime = now;
-            let mut data = payload.to_vec();
-            if let Some(s) = size {
-                data.resize(s, 0);
-                inode.mtime = now;
-            }
-            Ok(Some(data))
-        })?;
-        let mut out = self.getattr(via, fh)?;
-        out.latency += latency;
-        Ok(out)
+        Ok(setattr(self, via, fh, mode, uid, gid, size)?)
     }
 
     /// `WRITE`: writes `data` at `offset`, extending the file as needed.
@@ -59,23 +45,7 @@ impl DeceitFs {
         offset: usize,
         data: &[u8],
     ) -> NfsResult<FileAttr> {
-        let now = self.cluster.now().as_micros();
-        let latency = self.update_segment(via, fh, |inode, payload| {
-            if inode.ftype == FileType::Directory.to_byte() {
-                return Err(NfsError::IsDir);
-            }
-            inode.mtime = now;
-            let mut contents = payload.to_vec();
-            let end = offset + data.len();
-            if end > contents.len() {
-                contents.resize(end, 0);
-            }
-            contents[offset..end].copy_from_slice(data);
-            Ok(Some(contents))
-        })?;
-        let mut out = self.getattr(via, fh)?;
-        out.latency += latency;
-        Ok(out)
+        Ok(write(self, via, fh, offset, data)?)
     }
 
     /// `WRITE` with credential enforcement.
@@ -103,100 +73,65 @@ impl DeceitFs {
         fh: FileHandle,
         params: FileParams,
     ) -> NfsResult<()> {
-        let r = self.cluster.set_params(via, fh.seg, params)?;
-        Ok(OpResult { value: (), latency: r.latency })
+        Ok(self.set_params(via, fh, params)?)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Sharded-path twins (`&self` + held ring locks)
-    // ------------------------------------------------------------------
+/// `SETATTR` in any access mode. A truncation that would outgrow one
+/// whole-segment read fails with EFBIG.
+pub(crate) fn setattr<M: SegIo>(
+    io: &mut M,
+    via: NodeId,
+    fh: FileHandle,
+    mode: Option<u32>,
+    uid: Option<u32>,
+    gid: Option<u32>,
+    size: Option<usize>,
+) -> Served<FileAttr, M::Decline> {
+    let now = io.fs().cluster.now().as_micros();
+    let updated = io.update_segment(via, fh, |inode, payload| {
+        if let Some(s) = size {
+            if inode.ftype == FileType::Directory.to_byte() {
+                return Err(NfsError::IsDir);
+            }
+            check_fits(inode, s)?;
+        }
+        inode.mode = mode.unwrap_or(inode.mode);
+        inode.uid = uid.unwrap_or(inode.uid);
+        inode.gid = gid.unwrap_or(inode.gid);
+        inode.ctime = now;
+        let mut data = payload.to_vec();
+        if let Some(s) = size {
+            data.resize(s, 0);
+            inode.mtime = now;
+        }
+        Ok(Some(data))
+    })?;
+    io.updated_attr(via, fh, updated)
+}
 
-    /// Sharded-path `SETATTR`: same semantics as [`DeceitFs::setattr`],
-    /// executed under the handle's shard ring lock.
-    #[allow(clippy::too_many_arguments)] // mirrors the NFS SETATTR surface
-    pub fn setattr_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        mode: Option<u32>,
-        uid: Option<u32>,
-        gid: Option<u32>,
-        size: Option<usize>,
-    ) -> NfsResult<FileAttr> {
-        let now = self.cluster.now().as_micros();
-        let (inode, len, version, latency) =
-            self.update_segment_sharded(slots, via, fh, |inode, payload| {
-                if size.is_some() && inode.ftype == FileType::Directory.to_byte() {
-                    return Err(NfsError::IsDir);
-                }
-                if let Some(m) = mode {
-                    inode.mode = m;
-                }
-                if let Some(u) = uid {
-                    inode.uid = u;
-                }
-                if let Some(g) = gid {
-                    inode.gid = g;
-                }
-                inode.ctime = now;
-                let mut data = payload.to_vec();
-                if let Some(s) = size {
-                    data.resize(s, 0);
-                    inode.mtime = now;
-                }
-                Ok(Some(data))
-            })?;
-        Ok(OpResult { value: self.attr_from(fh, &inode, len, version), latency })
-    }
-
-    /// Sharded-path `WRITE`: same semantics as [`DeceitFs::write`],
-    /// executed under the handle's shard ring lock — concurrent with
-    /// reads and with mutations of files in other slots.
-    ///
-    /// Under the asynchronous write pipeline (the live runtime's
-    /// default), the reply means: durable at the token holder plus the
-    /// file's `write_safety - 1` synchronous replicas; propagation to
-    /// the rest of the group is deferred work the pump ships in
-    /// batches, with lagging replicas' reads forwarding to the holder
-    /// meanwhile (§3.4). See the README's "failure semantics" section
-    /// for what a holder crash recovers.
-    pub fn write_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        offset: usize,
-        data: &[u8],
-    ) -> NfsResult<FileAttr> {
-        let now = self.cluster.now().as_micros();
-        let (inode, len, version, latency) =
-            self.update_segment_sharded(slots, via, fh, |inode, payload| {
-                if inode.ftype == FileType::Directory.to_byte() {
-                    return Err(NfsError::IsDir);
-                }
-                inode.mtime = now;
-                let mut contents = payload.to_vec();
-                let end = offset + data.len();
-                if end > contents.len() {
-                    contents.resize(end, 0);
-                }
-                contents[offset..end].copy_from_slice(data);
-                Ok(Some(contents))
-            })?;
-        Ok(OpResult { value: self.attr_from(fh, &inode, len, version), latency })
-    }
-
-    /// Sharded-path parameter change: rides the per-file update
-    /// machinery, so the same ring locks suffice.
-    pub fn set_file_params_sharded(
-        &self,
-        slots: &[usize],
-        via: NodeId,
-        fh: FileHandle,
-        params: FileParams,
-    ) -> NfsResult<()> {
-        let r = self.cluster.set_params_sharded(slots, via, fh.seg, params)?;
-        Ok(OpResult { value: (), latency: r.latency })
-    }
+/// `WRITE` in any access mode. A write ending past what one
+/// whole-segment read returns fails with EFBIG before anything is
+/// stored.
+pub(crate) fn write<M: SegIo>(
+    io: &mut M,
+    via: NodeId,
+    fh: FileHandle,
+    offset: usize,
+    data: &[u8],
+) -> Served<FileAttr, M::Decline> {
+    let now = io.fs().cluster.now().as_micros();
+    let updated = io.update_segment(via, fh, |inode, payload| {
+        if inode.ftype == FileType::Directory.to_byte() {
+            return Err(NfsError::IsDir);
+        }
+        let end = offset.checked_add(data.len()).ok_or(NfsError::FileTooBig)?;
+        check_fits(inode, end)?;
+        inode.mtime = now;
+        let mut contents = payload.to_vec();
+        contents.resize(contents.len().max(end), 0);
+        contents[offset..end].copy_from_slice(data);
+        Ok(Some(contents))
+    })?;
+    io.updated_attr(via, fh, updated)
 }

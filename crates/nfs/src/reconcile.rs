@@ -9,12 +9,11 @@
 //! entries, with name collisions on *different* files surfaced by
 //! suffixing the losing entry.
 
-use deceit_core::WriteOp;
 use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::Directory;
-use crate::fs::{DeceitFs, FileType, NfsError, NfsResult};
+use crate::fs::{DeceitFs, NfsError, NfsResult, SegIo};
 use crate::handle::FileHandle;
 use crate::inode::Inode;
 
@@ -63,6 +62,7 @@ pub fn reconcile_directory(
 
     // Read every version's entry table; merge into the newest (highest
     // major — the branch the unqualified name already resolves to).
+    // lint: allow(no-bare-panic): `majors` holds at least two versions here — the empty and single-version cases returned above
     let newest = *majors.iter().max().unwrap();
     let mut merged: Option<(Inode, Directory)> = None;
     let mut collisions = Vec::new();
@@ -70,13 +70,8 @@ pub fn reconcile_directory(
     ordered.sort_unstable_by(|a, b| b.cmp(a)); // newest first
 
     for major in &ordered {
-        let read = fs.cluster.read(via, dir.seg, Some(*major), 0, 64 * 1024 * 1024)?;
-        latency += read.latency;
-        let (inode, hdr_len) = Inode::decode(&read.value.data)?;
-        if inode.ftype != FileType::Directory.to_byte() {
-            return Err(NfsError::NotDir);
-        }
-        let table = Directory::decode(&read.value.data[hdr_len..])?;
+        let (inode, table, _, l) = fs.load_dir(via, FileHandle::versioned(dir.seg, *major))?;
+        latency += l;
         match &mut merged {
             None => merged = Some((inode, table)),
             Some((_, base)) => {
@@ -99,14 +94,12 @@ pub fn reconcile_directory(
             }
         }
     }
+    // lint: allow(no-bare-panic): the loop above ran over every major (at least two) and its first pass set `merged` or returned an error
     let (mut inode, table) = merged.expect("at least one version read");
 
     // Write the merged table into the newest version and delete the rest.
     inode.mtime = fs.cluster.now().as_micros();
-    let mut payload = inode.encode();
-    payload.extend_from_slice(&table.encode());
-    let w = fs.cluster.write(via, dir.seg, WriteOp::Replace(payload), None)?;
-    latency += w.latency;
+    latency += fs.store(via, dir, &inode, &table.encode(), None)?.1;
     for major in majors.iter().filter(|&&m| m != newest) {
         // The merged survivor embeds the other versions' entries; their
         // histories are now redundant.

@@ -14,8 +14,12 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::DirEntry;
-use crate::fs::{DeceitFs, FileAttr, NfsError, NfsResult};
+use crate::fs::{DeceitFs, FileAttr, NfsError, SegIo, Stop};
 use crate::handle::FileHandle;
+use crate::ops_dir::link;
+use crate::ops_file::{setattr, write};
+use crate::ops_read::{getattr, lookup, read, readdir, readlink, statfs};
+use crate::reconcile::reconcile_directory;
 
 /// One NFS (or Deceit-extension) request.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,245 +230,95 @@ impl NfsServer {
         self.fs.root()
     }
 
-    /// Handles one request arriving at server `via`, returning the reply
-    /// and the server-side latency.
-    ///
-    /// This is a pure dispatcher: each request class has its own entry
-    /// point below, declaring what it touches, and a concurrent host may
-    /// call those entry points directly after classifying with
-    /// [`NfsRequest::class`].
+    /// Handles one request arriving at server `via` with exclusive
+    /// access, returning the reply and the server-side latency.
     pub fn handle(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req.class() {
-            OpClass::ReadOnly => self.handle_read(via, req),
-            OpClass::Mutate(_) => self.handle_file_mutation(via, req),
-            OpClass::CrossShard(_, _) => self.handle_cross_file(via, req),
-            OpClass::CellWide => self.handle_cell_wide(via, req),
+        let Ok(served) = dispatch(&mut self.fs, via, &req);
+        served
+    }
+}
+
+/// The one request match: every request's single body, run in access
+/// mode `M` (see [`crate::fs`]). A mode that cannot serve a request
+/// declines with `Err`, and the host retries under a stronger one.
+///
+/// Which modes serve what:
+///
+/// * one-segment reads (`GETATTR`, `LOOKUP`, `READLINK`, `READ`,
+///   `READDIR`) and the keyless `NULL`/`STATFS` — every mode; shared
+///   access declines whatever it cannot answer locally;
+/// * parameter reads and single-file mutations, plus `LINK` (both of
+///   whose files the request names) — ring or exclusive;
+/// * everything else — exclusive only: the version and replica
+///   inquiries search the cell, creations schedule work in the newborn
+///   segment's slot, removals and renames rewrite a segment the request
+///   does not name, and reconciliation spans every version.
+pub(crate) fn dispatch<M: SegIo>(
+    io: &mut M,
+    via: NodeId,
+    req: &NfsRequest,
+) -> Result<(NfsReply, SimDuration), M::Decline> {
+    use NfsRequest as R;
+    match req {
+        R::Null => Ok((NfsReply::Void, SimDuration::from_micros(50))),
+        R::Getattr { fh } => wrap(getattr(io, via, *fh), NfsReply::Attr),
+        R::Lookup { dir, name } => wrap(lookup(io, via, *dir, name), NfsReply::Attr),
+        R::Readlink { fh } => wrap(readlink(io, via, *fh), NfsReply::Path),
+        R::Read { fh, offset, count } => wrap(read(io, via, *fh, *offset, *count), NfsReply::Data),
+        R::Readdir { dir } => wrap(readdir(io, via, *dir), NfsReply::Entries),
+        R::Statfs => wrap(statfs(io, via), |(files, bytes)| NfsReply::Fsstat { files, bytes }),
+        R::DeceitGetParams { fh } => wrap(io.get_params(via, *fh), NfsReply::Params),
+        R::Setattr { fh, mode, uid, gid, size } => {
+            wrap(setattr(io, via, *fh, *mode, *uid, *gid, *size), NfsReply::Attr)
         }
-    }
-
-    /// Serves a read-only request with shared access, if the engine can
-    /// answer it from `via`'s local stable state; `None` defers to the
-    /// exclusive [`NfsServer::handle`]. See
-    /// [`crate::ops_read`] for the exact coverage.
-    pub fn handle_shared(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        Some(match req {
-            NfsRequest::Null => (NfsReply::Void, SimDuration::from_micros(50)),
-            NfsRequest::Getattr { fh } => wrap(self.fs.getattr_shared(via, *fh)?, NfsReply::Attr),
-            NfsRequest::Lookup { dir, name } => {
-                wrap(self.fs.lookup_shared(via, *dir, name)?, NfsReply::Attr)
-            }
-            NfsRequest::Readlink { fh } => wrap(self.fs.readlink_shared(via, *fh)?, NfsReply::Path),
-            NfsRequest::Read { fh, offset, count } => {
-                wrap(self.fs.read_shared(via, *fh, *offset, *count)?, NfsReply::Data)
-            }
-            NfsRequest::Readdir { dir } => {
-                wrap(self.fs.readdir_shared(via, *dir)?, NfsReply::Entries)
-            }
-            NfsRequest::Statfs => wrap(self.fs.statfs_shared(via)?, |(files, bytes)| {
-                NfsReply::Fsstat { files, bytes }
-            }),
-            // The Deceit inquiries involve cell-wide searches; always
-            // defer them.
-            _ => return None,
-        })
-    }
-
-    /// Serves a mutating request with shared cell access plus the ring
-    /// locks its class declares — the sharded mutation fast path.
-    ///
-    /// The caller must hold the ring locks for every slot of
-    /// `req.class().slots(shard_count)`. `None` defers to the exclusive
-    /// [`NfsServer::handle`]: version-qualified names (they address a
-    /// different file's versions), `Remove`/`Rmdir` (the victim resolves
-    /// by name during execution), `Rename` (rewrites the moved file, a
-    /// third segment), and everything cell-wide.
-    pub fn handle_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {
-        let mut buf = [0usize; 2];
-        let n = req.class().slots_into(self.fs.cluster.shard_count(), &mut buf);
-        let slots = &buf[..n];
-        Some(match req {
-            NfsRequest::Setattr { fh, mode, uid, gid, size } => wrap(
-                self.fs.setattr_sharded(slots, via, *fh, *mode, *uid, *gid, *size),
-                NfsReply::Attr,
-            ),
-            NfsRequest::Write { fh, offset, data } => {
-                wrap(self.fs.write_sharded(slots, via, *fh, *offset, data), NfsReply::Attr)
-            }
-            NfsRequest::DeceitSetParams { fh, params } => {
-                wrap(self.fs.set_file_params_sharded(slots, via, *fh, *params), |()| NfsReply::Void)
-            }
-            NfsRequest::Link { target, dir, name } => {
-                wrap(self.fs.link_sharded(slots, via, *target, *dir, name), |()| NfsReply::Void)
-            }
-            // Create/Mkdir/Symlink schedule the newborn segment's
-            // deferred work into a slot the declared class does not
-            // lock (the pump would race the creator there);
-            // Remove/Rmdir rewrite a victim resolved by name; Rename
-            // rewrites the moved file's inode — footprints the declared
-            // class does not cover. Everything else mutating is
-            // cell-wide. All defer to the exclusive path.
-            _ => return None,
-        })
-    }
-
-    /// Serves a read-only request with shared cell access plus the ring
-    /// lock of its primary file — the sharded read path, for requests
-    /// the lock-free [`NfsServer::handle_shared`] fast path declined
-    /// (no local stable replica: forwarding, unstable files).
-    ///
-    /// The caller must hold the ring lock of the request's
-    /// [`NfsRequest::shard_key`]. `None` defers to the exclusive
-    /// [`NfsServer::handle`]: requests without a shard key, and the
-    /// Deceit inquiries whose searches span the cell.
-    pub fn handle_read_sharded(
-        &self,
-        via: NodeId,
-        req: &NfsRequest,
-    ) -> Option<(NfsReply, SimDuration)> {
-        let key = req.shard_key()?;
-        let mut buf = [0usize; 2];
-        let n = OpClass::Mutate(key).slots_into(self.fs.cluster.shard_count(), &mut buf);
-        let slots = &buf[..n];
-        Some(match req {
-            NfsRequest::Getattr { fh } => {
-                wrap(self.fs.getattr_sharded(slots, via, *fh), NfsReply::Attr)
-            }
-            NfsRequest::Lookup { dir, name } => {
-                wrap(self.fs.lookup_ring(slots, via, *dir, name)?, NfsReply::Attr)
-            }
-            NfsRequest::Readlink { fh } => {
-                wrap(self.fs.readlink_ring(slots, via, *fh), NfsReply::Path)
-            }
-            NfsRequest::Read { fh, offset, count } => {
-                wrap(self.fs.read_ring(slots, via, *fh, *offset, *count), NfsReply::Data)
-            }
-            NfsRequest::Readdir { dir } => {
-                wrap(self.fs.readdir_ring(slots, via, *dir), NfsReply::Entries)
-            }
-            NfsRequest::DeceitGetParams { fh } => {
-                wrap(self.fs.file_params_ring(slots, via, *fh), NfsReply::Params)
-            }
-            // Version/replica listings search the cell; defer.
-            _ => return None,
-        })
-    }
-
-    /// `OpClass::ReadOnly` entry point: touches no state beyond caches
-    /// and accounting (forwarded reads may join file groups).
-    pub fn handle_read(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req {
-            NfsRequest::Null => (NfsReply::Void, SimDuration::from_micros(50)),
-            NfsRequest::Getattr { fh } => wrap(self.fs.getattr(via, fh), NfsReply::Attr),
-            NfsRequest::Lookup { dir, name } => {
-                wrap(self.fs.lookup(via, dir, &name), NfsReply::Attr)
-            }
-            NfsRequest::Readlink { fh } => wrap(self.fs.readlink(via, fh), NfsReply::Path),
-            NfsRequest::Read { fh, offset, count } => {
-                wrap(self.fs.read(via, fh, offset, count), NfsReply::Data)
-            }
-            NfsRequest::Readdir { dir } => wrap(self.fs.readdir(via, dir), NfsReply::Entries),
-            NfsRequest::Statfs => {
-                wrap(self.fs.statfs(via), |(files, bytes)| NfsReply::Fsstat { files, bytes })
-            }
-            NfsRequest::DeceitGetParams { fh } => {
-                wrap(self.fs.file_params(via, fh), NfsReply::Params)
-            }
-            NfsRequest::DeceitListVersions { fh } => {
-                wrap(self.fs.file_versions(via, fh), NfsReply::Versions)
-            }
-            NfsRequest::DeceitLocateReplicas { fh } => {
-                wrap(self.fs.file_replicas(via, fh), NfsReply::Replicas)
-            }
-            other => misclassified(other),
+        R::Write { fh, offset, data } => wrap(write(io, via, *fh, *offset, data), NfsReply::Attr),
+        R::DeceitSetParams { fh, params } => wrap(io.set_params(via, *fh, *params), void),
+        R::Link { target, dir, name } => wrap(link(io, via, *target, *dir, name), void),
+        R::DeceitListVersions { fh } => {
+            wrap(io.exclusive()?.file_versions(via, *fh), NfsReply::Versions)
         }
-    }
-
-    /// `OpClass::Mutate` entry point: rewrites the shard its key names
-    /// (for namespace creations/removals, the directory plus the newborn
-    /// or name-resolved member segment).
-    pub fn handle_file_mutation(
-        &mut self,
-        via: NodeId,
-        req: NfsRequest,
-    ) -> (NfsReply, SimDuration) {
-        match req {
-            NfsRequest::Setattr { fh, mode, uid, gid, size } => {
-                wrap(self.fs.setattr(via, fh, mode, uid, gid, size), NfsReply::Attr)
-            }
-            NfsRequest::Write { fh, offset, data } => {
-                wrap(self.fs.write(via, fh, offset, &data), NfsReply::Attr)
-            }
-            NfsRequest::DeceitSetParams { fh, params } => {
-                wrap(self.fs.set_file_params(via, fh, params), |()| NfsReply::Void)
-            }
-            NfsRequest::Create { dir, name, mode } => {
-                wrap(self.fs.create(via, dir, &name, mode), NfsReply::Attr)
-            }
-            NfsRequest::Remove { dir, name } => {
-                wrap(self.fs.remove(via, dir, &name), |()| NfsReply::Void)
-            }
-            NfsRequest::Symlink { dir, name, target } => {
-                wrap(self.fs.symlink(via, dir, &name, &target), NfsReply::Attr)
-            }
-            NfsRequest::Mkdir { dir, name, mode } => {
-                wrap(self.fs.mkdir(via, dir, &name, mode), NfsReply::Attr)
-            }
-            NfsRequest::Rmdir { dir, name } => {
-                wrap(self.fs.rmdir(via, dir, &name), |()| NfsReply::Void)
-            }
-            other => misclassified(other),
+        R::DeceitLocateReplicas { fh } => {
+            wrap(io.exclusive()?.file_replicas(via, *fh), NfsReply::Replicas)
         }
-    }
-
-    /// `OpClass::CrossShard` entry point: rewrites the two shards named
-    /// in the request.
-    pub fn handle_cross_file(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req {
-            NfsRequest::Rename { from_dir, from_name, to_dir, to_name } => {
-                wrap(self.fs.rename(via, from_dir, &from_name, to_dir, &to_name), |()| {
-                    NfsReply::Void
-                })
-            }
-            NfsRequest::Link { target, dir, name } => {
-                wrap(self.fs.link(via, target, dir, &name), |()| NfsReply::Void)
-            }
-            other => misclassified(other),
+        R::Create { dir, name, mode } => {
+            wrap(io.exclusive()?.create(via, *dir, name, *mode), NfsReply::Attr)
         }
-    }
-
-    /// `OpClass::CellWide` entry point: touches an unbounded set of
-    /// files.
-    pub fn handle_cell_wide(&mut self, via: NodeId, req: NfsRequest) -> (NfsReply, SimDuration) {
-        match req {
-            NfsRequest::DeceitReconcile { dir } => wrap(
-                crate::reconcile::reconcile_directory(&mut self.fs, via, dir),
-                NfsReply::Reconciled,
-            ),
-            other => misclassified(other),
+        R::Remove { dir, name } => wrap(io.exclusive()?.remove(via, *dir, name), void),
+        R::Rename { from_dir, from_name, to_dir, to_name } => {
+            wrap(io.exclusive()?.rename(via, *from_dir, from_name, *to_dir, to_name), |()| {
+                NfsReply::Void
+            })
+        }
+        R::Symlink { dir, name, target } => {
+            wrap(io.exclusive()?.symlink(via, *dir, name, target), NfsReply::Attr)
+        }
+        R::Mkdir { dir, name, mode } => {
+            wrap(io.exclusive()?.mkdir(via, *dir, name, *mode), NfsReply::Attr)
+        }
+        R::Rmdir { dir, name } => wrap(io.exclusive()?.rmdir(via, *dir, name), void),
+        R::DeceitReconcile { dir } => {
+            wrap(reconcile_directory(io.exclusive()?, via, *dir), NfsReply::Reconciled)
         }
     }
 }
 
-/// A request routed to an entry point its class does not belong to —
-/// unreachable through [`NfsServer::handle`], kept as a loud error for
-/// hosts calling entry points directly.
-fn misclassified(req: NfsRequest) -> (NfsReply, SimDuration) {
-    debug_assert!(false, "request {req:?} reached the wrong entry point for {:?}", req.class());
-    (
-        NfsReply::Error(NfsError::Io(deceit_core::DeceitError::InvalidCommand(format!(
-            "misclassified request: {req:?}"
-        )))),
-        SimDuration::from_micros(50),
-    )
+/// The reply of operations that return nothing.
+fn void((): ()) -> NfsReply {
+    NfsReply::Void
 }
 
-/// Converts an envelope result into a reply + latency pair.
-fn wrap<T>(res: NfsResult<T>, into: impl FnOnce(T) -> NfsReply) -> (NfsReply, SimDuration) {
-    match res {
-        Ok(OpResult { value, latency }) => (into(value), latency),
+/// Converts an operation's outcome into a reply + latency pair, or
+/// passes its decline on.
+fn wrap<T, D>(
+    res: Result<OpResult<T>, impl Into<Stop<D>>>,
+    into: impl FnOnce(T) -> NfsReply,
+) -> Result<(NfsReply, SimDuration), D> {
+    match res.map_err(Into::into) {
+        Ok(OpResult { value, latency }) => Ok((into(value), latency)),
         // Failures still consumed some server time; a small constant is
         // close enough for the error path.
-        Err(e) => (NfsReply::Error(e), SimDuration::from_micros(500)),
+        Err(Stop::Fail(e)) => Ok((NfsReply::Error(e), SimDuration::from_micros(500))),
+        Err(Stop::Decline(d)) => Err(d),
     }
 }
 
