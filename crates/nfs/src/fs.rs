@@ -9,22 +9,22 @@
 //! is restarted."
 //!
 //! This module holds the envelope's shared types and the segment-I/O
-//! seam, [`SegIo`]. Every operation has exactly one body, written over
+//! seam, `SegIo`. Every operation has exactly one body, written over
 //! that seam and generic in the *access mode* it runs under:
 //!
 //! * **exclusive** — [`DeceitFs`] itself, reached through `&mut`: the
 //!   full protocol ([`Cluster::read`], [`Cluster::write`],
 //!   [`Cluster::advance`]). It answers every request; the simulator and
 //!   a concurrent host's fallback use it.
-//! * **ring** — [`Ring`]: `&DeceitFs` plus the ring-lock slots the
+//! * **ring** — `Ring`: `&DeceitFs` plus the ring-lock slots the
 //!   caller holds. Reads try a local stable replica, then the token
 //!   holder's primary copy, then the full read scoped to those slots;
 //!   writes and clock advances are scoped to them too.
-//! * **shared** — [`SharedAccess`]: `&DeceitFs` alone. It answers only from a
-//!   local stable replica (or the holder's leased copy) and declines
-//!   everything else.
+//! * **shared** — `SharedAccess`: `&DeceitFs` alone. It answers only
+//!   from a local stable replica (or the holder's leased copy) and
+//!   declines everything else.
 //!
-//! A mode that cannot answer *declines* ([`Stop::Decline`]), and the
+//! A mode that cannot answer *declines* (`Stop::Decline`), and the
 //! host retries under a stronger one. Exclusive access declines with
 //! [`Infallible`], so the type system proves it never does. The few
 //! places where the modes deliberately differ are stated once, on the
@@ -364,7 +364,7 @@ pub(crate) type Updated = (Inode, usize, VersionPair, SimDuration);
 
 /// How one access mode reaches the segment service. The required
 /// methods are the only places the modes differ; the provided plumbing
-/// (load, store, the §5.1 restart loop) is written once above them.
+/// (load, store, the §5.1 restart loop) is written once on top of them.
 pub(crate) trait SegIo {
     /// What a decline carries: [`Infallible`] for exclusive access,
     /// which answers everything, `()` for the others.

@@ -6,7 +6,7 @@
 //! envelope does not care *who* delivers requests to it. [`NfsService`]
 //! captures the request-serving surface a transport needs: one entry
 //! point per access mode, each running the same request match
-//! ([`crate::rpc::dispatch`]) over its own segment-I/O seam. The
+//! (`rpc::dispatch`) over its own segment-I/O seam. The
 //! [`deceit_core::ProtocolHost`] implementation below forwards failure
 //! injection and deferred-work pumping to the segment-server cluster
 //! underneath, so the whole stack can be hosted by the deterministic
@@ -62,9 +62,9 @@ pub trait NfsService {
     ///
     /// The caller must hold the ring locks for every slot of
     /// `req.class().slots(shard_count)` before calling. `None` means the
-    /// request's footprint escapes those locks (qualified-version names,
-    /// removals that resolve their victim by name, renames that touch a
-    /// third segment, cell-wide commands): the host must fall back to
+    /// request's footprint escapes those locks (creations, removals that
+    /// resolve their victim by name, renames that touch a third segment,
+    /// cell-wide commands): the host must fall back to
     /// the exclusive [`NfsService::serve`]. The default declines
     /// everything, which is always correct.
     fn serve_sharded(&self, via: NodeId, req: &NfsRequest) -> Option<(NfsReply, SimDuration)> {

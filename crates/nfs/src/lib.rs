@@ -15,7 +15,9 @@
 //!   hint, uplink list, timestamps).
 //! * [`dir`] — the directory-entry encoding stored in directory segments.
 //! * [`name`] — version-qualified file names (`foo;3`, §3.5).
-//! * [`fs`] — the envelope's shared types and segment plumbing.
+//! * [`fs`] — the envelope's shared types and the segment-I/O seam
+//!   every operation is written over, once, for all three access modes
+//!   (exclusive, ring-locked, shared).
 //! * [`ops_read`] / [`ops_file`] / [`ops_dir`] — the NFS operations and
 //!   Deceit special commands, grouped by how they interact with engine
 //!   state (read-only, single-file mutation, namespace mutation) — the

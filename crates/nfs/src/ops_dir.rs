@@ -16,15 +16,15 @@
 //!   request: `CrossShard`.
 //!
 //! Every operation has one body. `link` is generic over the access mode
-//! ([`SegIo`]): both files it rewrites are named in the request, so the
-//! ring mode's locks cover its whole footprint. The rest run with
-//! exclusive access only. Removals and renames rewrite a segment the
-//! request does not name. Creations do too, in effect: the newborn is
+//! (`SegIo`, see [`crate::fs`]): both files it rewrites are named in the
+//! request, so the ring mode's locks cover its whole footprint. The rest
+//! run with exclusive access only. Removals and renames rewrite a segment
+//! the request does not name. Creations do too, in effect: the newborn is
 //! unaddressable to other *requests* until published, but its deferred
 //! protocol work (stabilize checks, flushes, replica fills) lands in the
-//! newborn's own slot queue, which the pump drains under that slot's
-//! ring lock — a lock the creator does not hold. Only the exclusive
-//! cell lock keeps the pump out.
+//! newborn's own slot queue, which the pump drains under that slot's ring
+//! lock — a lock the creator does not hold. Only the exclusive cell lock
+//! keeps the pump out.
 
 use deceit_core::OpResult;
 use deceit_net::NodeId;

@@ -4,10 +4,11 @@
 //! handle names — through the §5.1 optimistic read-modify-write loop.
 //! A concurrent host serializes them per shard (the handle's segment id
 //! is the shard key). Each has one body, generic over the access mode
-//! ([`SegIo`]): the `&mut self` methods run it with exclusive access,
-//! and the ring mode runs it under the shared cell lock plus the file's
-//! ring lock, concurrently with reads and with mutations of files in
-//! other shards. Shared access declines every write.
+//! (`SegIo`, see [`crate::fs`]): the `&mut self` methods run it with
+//! exclusive access, and the ring mode runs it under the shared cell
+//! lock plus the file's ring lock, concurrently with reads and with
+//! mutations of files in other shards. Shared access declines every
+//! write.
 //!
 //! Under the asynchronous write pipeline (the live runtime's default), a
 //! write's reply means: durable at the token holder plus the file's

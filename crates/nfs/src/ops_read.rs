@@ -5,13 +5,14 @@
 //! commands. None of them changes client-visible state, which is what
 //! lets a concurrent host run them under its shared cell lock.
 //!
-//! Each operation has one body, generic over the access mode
-//! ([`SegIo`]); the `&mut self` methods run it with exclusive access.
-//! The shared mode runs the same body lock-free and answers exactly when
-//! the serving server can read every segment involved locally; the ring
-//! mode adds the full forwarding read under the file's ring lock. Since
-//! the body is the same, a mode that answers gives the reply any other
-//! mode would; only latency and protocol side effects differ.
+//! Each operation has one body, generic over the access mode (`SegIo`,
+//! see [`crate::fs`]); the `&mut self` methods run it with exclusive
+//! access. The shared mode runs the same body lock-free and answers
+//! exactly when the serving server can read every segment involved
+//! locally; the ring mode adds the full forwarding read under the file's
+//! ring lock. Since the body is the same, a mode that answers gives the
+//! reply any other mode would; only latency and protocol side effects
+//! differ.
 
 use bytes::Bytes;
 

@@ -285,9 +285,7 @@ pub(crate) fn dispatch<M: SegIo>(
         }
         R::Remove { dir, name } => wrap(io.exclusive()?.remove(via, *dir, name), void),
         R::Rename { from_dir, from_name, to_dir, to_name } => {
-            wrap(io.exclusive()?.rename(via, *from_dir, from_name, *to_dir, to_name), |()| {
-                NfsReply::Void
-            })
+            wrap(io.exclusive()?.rename(via, *from_dir, from_name, *to_dir, to_name), void)
         }
         R::Symlink { dir, name, target } => {
             wrap(io.exclusive()?.symlink(via, *dir, name, target), NfsReply::Attr)
