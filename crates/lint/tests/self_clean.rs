@@ -2,7 +2,8 @@
 //! tentpole: `cargo test` fails the moment a protocol-path unwrap, an
 //! ungated `Pending` variant, a mutate-before-revoke, a stray Relaxed
 //! flag, or an unused waiver lands — without waiting for the CI lint
-//! job.
+//! job. It also keeps the linter's own registry honest: every ordering
+//! allowlist entry must name an atomic the workspace still declares.
 
 use std::path::Path;
 
@@ -11,7 +12,7 @@ fn repo_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let sources = lint::collect_sources(&root).expect("read workspace sources");
     assert!(sources.len() > 100, "walker found only {} files — scan set broke", sources.len());
-    let report = lint::lint_sources(&sources);
+    let (facts, report) = lint::analyze(&sources);
     let rendered: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
     assert!(
         report.findings.is_empty(),
@@ -24,4 +25,12 @@ fn repo_lints_clean() {
     // and this floor catches a waiver-parsing regression that silently
     // drops them all.
     assert!(report.waivers_honored >= 10, "only {} waivers honored", report.waivers_honored);
+    // A deleted counter must take its allowlist entry with it; a stale
+    // entry would silently pre-approve any future atomic reusing the key.
+    let dead: Vec<&str> = lint::rules::DECL_ALLOWLIST
+        .iter()
+        .copied()
+        .filter(|key| !facts.decls.by_key.contains_key(*key))
+        .collect();
+    assert!(dead.is_empty(), "DECL_ALLOWLIST names undeclared atomics: {dead:?}");
 }

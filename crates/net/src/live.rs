@@ -7,8 +7,25 @@
 //! reachability) over real threads and channels, so the examples can show
 //! the message layer running "live". It is intentionally unordered across
 //! senders — ordering is ISIS's job, one layer up.
+//!
+//! All connectivity state sits in one topology behind one lock: the
+//! endpoints, the server partition, each machine's crash flag and crash
+//! epoch, and the home server of every attached client. As in the
+//! simulator, a client has no network identity of its own: once
+//! [`LiveEndpoint::attach`]ed, it stands on its home's side of any
+//! partition, so [`LiveBus::split`] names servers only and attaching
+//! never rewrites the partition. Crashes stay per machine: a send is
+//! refused when either peer is itself crashed, so a session whose home
+//! died can still fail over to the servers on its side.
+//!
+//! A send takes one read guard, and the liveness check, the
+//! reachability check and the destination's epoch stamp all come from
+//! it. That is the stale-epoch invariant: a frame is stamped with the
+//! epoch of the same topology that let it through, so a crash racing the
+//! send either refuses it or leaves it carrying the pre-crash epoch, and
+//! [`LiveEndpoint`] discards it on receive. Traffic queued at a machine
+//! never survives its reboot.
 
-use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,13 +55,43 @@ struct Sealed<M> {
     epoch: u64,
 }
 
+/// One machine's liveness: whether it is down, and how many times it
+/// has crashed (bumping the count invalidates its queued traffic).
+#[derive(Debug, Default, Clone, Copy)]
+struct Liveness {
+    crashed: bool,
+    epoch: u64,
+}
+
+/// Everything that decides who reaches whom.
+#[derive(Debug)]
+struct Topology<M> {
+    endpoints: HashMap<NodeId, Sender<Sealed<M>>>,
+    /// The partition of the *server* set.
+    partition: Partition,
+    liveness: HashMap<NodeId, Liveness>,
+    /// Each attached client's home server.
+    homes: HashMap<NodeId, NodeId>,
+}
+
+impl<M> Topology<M> {
+    fn liveness(&self, node: NodeId) -> Liveness {
+        self.liveness.get(&node).copied().unwrap_or_default()
+    }
+
+    /// Neither peer crashed, and their sides of the partition (a
+    /// client's side is its home's) can reach each other.
+    fn reachable(&self, a: NodeId, b: NodeId) -> bool {
+        let side = |n| self.homes.get(&n).copied().unwrap_or(n);
+        !self.liveness(a).crashed
+            && !self.liveness(b).crashed
+            && self.partition.can_reach(side(a), side(b))
+    }
+}
+
 #[derive(Debug)]
 struct BusInner<M> {
-    endpoints: RwLock<HashMap<NodeId, Sender<Sealed<M>>>>,
-    partition: RwLock<Partition>,
-    crashed: RwLock<BTreeSet<NodeId>>,
-    /// Per-node crash count; bumping it invalidates queued traffic.
-    epochs: RwLock<HashMap<NodeId, u64>>,
+    topology: RwLock<Topology<M>>,
     delivered: AtomicU64,
     rejected: AtomicU64,
     dropped_stale: AtomicU64,
@@ -67,10 +114,12 @@ impl<M: Send + 'static> LiveBus<M> {
     pub fn new() -> Self {
         LiveBus {
             inner: Arc::new(BusInner {
-                endpoints: RwLock::new(HashMap::new()),
-                partition: RwLock::new(Partition::connected()),
-                crashed: RwLock::new(BTreeSet::new()),
-                epochs: RwLock::new(HashMap::new()),
+                topology: RwLock::new(Topology {
+                    endpoints: HashMap::new(),
+                    partition: Partition::connected(),
+                    liveness: HashMap::new(),
+                    homes: HashMap::new(),
+                }),
                 delivered: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 dropped_stale: AtomicU64::new(0),
@@ -85,19 +134,20 @@ impl<M: Send + 'static> LiveBus<M> {
     /// Panics if the node is already registered.
     pub fn register(&self, node: NodeId) -> LiveEndpoint<M> {
         let (tx, rx) = unbounded();
-        let prev = self.inner.endpoints.write().insert(node, tx);
+        let prev = self.inner.topology.write().endpoints.insert(node, tx);
         assert!(prev.is_none(), "node {node} registered twice");
         LiveEndpoint { node, rx, bus: self.clone() }
     }
 
-    /// Imposes a partition on the bus.
+    /// Partitions the servers into `groups`; attached clients follow
+    /// their homes.
     pub fn split(&self, groups: &[&[NodeId]]) {
-        *self.inner.partition.write() = Partition::split(groups);
+        self.inner.topology.write().partition = Partition::split(groups);
     }
 
     /// Heals any partition.
     pub fn heal(&self) {
-        self.inner.partition.write().heal();
+        self.inner.topology.write().partition.heal();
     }
 
     /// Marks a machine as crashed: its traffic is rejected in both
@@ -107,30 +157,27 @@ impl<M: Send + 'static> LiveBus<M> {
     /// node's crash epoch; the endpoint discards stale frames on
     /// receive.)
     pub fn crash(&self, node: NodeId) {
-        if self.inner.crashed.write().insert(node) {
-            *self.inner.epochs.write().entry(node).or_insert(0) += 1;
-        }
+        let mut topology = self.inner.topology.write();
+        let life = topology.liveness.entry(node).or_default();
+        life.epoch += u64::from(!life.crashed);
+        life.crashed = true;
     }
 
     /// Recovers a crashed machine.
     pub fn recover(&self, node: NodeId) {
-        self.inner.crashed.write().remove(&node);
+        if let Some(life) = self.inner.topology.write().liveness.get_mut(&node) {
+            life.crashed = false;
+        }
     }
 
     /// Whether `node` is currently marked crashed.
-    ///
-    /// A live server's message loop cannot know it has been "crashed" by
-    /// failure injection — the whole point is that crashes arrive without
-    /// notification — so the loop consults the bus and discards any
-    /// traffic that was already queued when the crash hit, exactly as a
-    /// dead machine's kernel buffers would evaporate.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.inner.crashed.read().contains(&node)
+        self.inner.topology.read().liveness(node).crashed
     }
 
     /// All registered node ids, in ascending order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.inner.endpoints.read().keys().copied().collect();
+        let mut ids: Vec<NodeId> = self.inner.topology.read().endpoints.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -140,7 +187,7 @@ impl<M: Send + 'static> LiveBus<M> {
     /// enforces, exposed for differential testing against the simulator's
     /// topology rules.
     pub fn can_exchange(&self, a: NodeId, b: NodeId) -> bool {
-        self.reachable(a, b)
+        self.inner.topology.read().reachable(a, b)
     }
 
     /// Sends accepted by the bus so far. Counted at enqueue time: a
@@ -163,39 +210,16 @@ impl<M: Send + 'static> LiveBus<M> {
         self.inner.dropped_stale.load(Ordering::Relaxed)
     }
 
-    /// The crash epoch of `node` (number of crashes so far).
-    fn epoch(&self, node: NodeId) -> u64 {
-        self.inner.epochs.read().get(&node).copied().unwrap_or(0)
-    }
-
-    fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        let crashed = self.inner.crashed.read();
-        if crashed.contains(&a) || crashed.contains(&b) {
-            return false;
-        }
-        self.inner.partition.read().can_reach(a, b)
-    }
-
     fn send(&self, from: NodeId, to: NodeId, msg: M) -> bool {
-        // The epoch must be read under the same crashed-set lock as the
-        // liveness check: read after releasing it, and a crash() racing
-        // in between would stamp this frame with the *post*-crash epoch,
-        // letting pre-crash traffic survive the reboot.
-        let epoch = {
-            let crashed = self.inner.crashed.read();
-            if crashed.contains(&from)
-                || crashed.contains(&to)
-                || !self.inner.partition.read().can_reach(from, to)
-            {
-                drop(crashed);
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            self.inner.epochs.read().get(&to).copied().unwrap_or(0)
-        };
-        let ok = match self.inner.endpoints.read().get(&to) {
-            Some(tx) => tx.send(Sealed { env: Envelope { from, msg }, epoch }).is_ok(),
-            None => false,
+        // One guard for the checks and the epoch stamp: see the module
+        // docs for why the stamp must not be read under a second one.
+        let ok = {
+            let topology = self.inner.topology.read();
+            let epoch = topology.liveness(to).epoch;
+            topology.reachable(from, to)
+                && topology.endpoints.get(&to).is_some_and(|tx| {
+                    tx.send(Sealed { env: Envelope { from, msg }, epoch }).is_ok()
+                })
         };
         if ok {
             self.inner.delivered.fetch_add(1, Ordering::Relaxed);
@@ -221,12 +245,15 @@ pub struct LiveEndpoint<M> {
 }
 
 impl<M> Drop for LiveEndpoint<M> {
-    /// Unplugs the machine: its entry leaves the bus, so sends to it
-    /// fail fast instead of queueing into a channel nobody will drain.
-    /// Without this, every short-lived endpoint (client sessions, most
-    /// of all) would leak a sender entry for the bus's lifetime.
+    /// Unplugs the machine: its entry and its home leave the bus in one
+    /// write, so sends to it fail fast instead of queueing into a
+    /// channel nobody will drain. Without this, every short-lived
+    /// endpoint (client sessions, most of all) would leak its entries
+    /// for the bus's lifetime.
     fn drop(&mut self) {
-        self.bus.inner.endpoints.write().remove(&self.node);
+        let mut topology = self.bus.inner.topology.write();
+        topology.endpoints.remove(&self.node);
+        topology.homes.remove(&self.node);
     }
 }
 
@@ -236,11 +263,17 @@ impl<M: Send + 'static> LiveEndpoint<M> {
         self.node
     }
 
+    /// Attaches this machine to server `home` as a client: from now on
+    /// it stands on `home`'s side of any partition. Attaching again
+    /// moves it; dropping the endpoint detaches it.
+    pub fn attach(&self, home: NodeId) {
+        self.bus.inner.topology.write().homes.insert(self.node, home);
+    }
+
     /// Sends a message; returns false if the peer is unreachable.
     pub fn send(&self, to: NodeId, msg: M) -> bool {
         self.bus.send(self.node, to, msg)
     }
-
     /// Blocks until a message arrives or the timeout elapses.
     ///
     /// Frames queued before this machine's most recent crash are
@@ -275,7 +308,7 @@ impl<M: Send + 'static> LiveEndpoint<M> {
 
     /// Drops frames from before the latest crash of this node.
     fn unseal(&self, sealed: Sealed<M>) -> Option<Envelope<M>> {
-        if sealed.epoch < self.bus.epoch(self.node) {
+        if sealed.epoch < self.bus.inner.topology.read().liveness(self.node).epoch {
             self.bus.inner.dropped_stale.fetch_add(1, Ordering::Relaxed);
             None
         } else {

@@ -132,6 +132,12 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         self.ep.node()
     }
 
+    /// Attaches this endpoint to server `home` as a client; see
+    /// [`LiveEndpoint::attach`].
+    pub fn attach(&self, home: NodeId) {
+        self.ep.attach(home);
+    }
+
     /// Calls in flight (submitted, reply neither received nor claimed).
     pub fn in_flight(&self) -> usize {
         self.outstanding.len()

@@ -1,7 +1,11 @@
 //! Dedicated coverage for `net::live::LiveBus` crash/partition/
-//! unreachable semantics, including a differential test pinning the live
-//! bus's connectivity rules to the simulator's `topology::Partition`.
+//! unreachable semantics and client attachment, including a
+//! differential test pinning the live bus's connectivity rules to the
+//! simulator's `topology::Partition`.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -30,37 +34,46 @@ fn grouping(seed: u64, nodes: u32, groups: usize) -> Vec<Vec<NodeId>> {
     out
 }
 
+/// Clients attached in the connectivity test: they reach what their
+/// home server reaches across a partition.
+const CLIENTS: [u32; 4] = [100, 101, 102, 103];
+
 /// The live bus must accept/reject exactly where the simulator's
 /// partition rules say two nodes can/cannot reach each other, across
-/// random groupings and crash sets.
+/// random groupings and crash sets. Attached clients are judged by
+/// their home's side of the partition, and by their own crash flag.
 #[test]
 fn connectivity_matches_topology_partition_rules() {
-    const NODES: u32 = 8;
+    const SERVERS: u32 = 8;
     for seed in 0..24u64 {
         let bus: LiveBus<u32> = LiveBus::new();
-        let mut endpoints = Vec::new();
-        for v in 0..NODES {
-            endpoints.push(bus.register(n(v)));
+        let nodes: Vec<u32> = (0..SERVERS).chain(CLIENTS).collect();
+        let endpoints: HashMap<u32, _> = nodes.iter().map(|&v| (v, bus.register(n(v)))).collect();
+        // Seeded homes, so every seed homes the clients differently.
+        let home = |v: u32| if v < SERVERS { v } else { (v as u64 * 7 + seed) as u32 % SERVERS };
+        for c in CLIENTS {
+            endpoints[&c].attach(n(home(c)));
         }
 
-        let groups = grouping(seed, NODES, 1 + (seed % 3) as usize);
+        let groups = grouping(seed, SERVERS, 1 + (seed % 3) as usize);
         let refs: Vec<&[NodeId]> = groups.iter().map(Vec::as_slice).collect();
         bus.split(&refs);
         let reference = Partition::split(&refs);
 
-        // A deterministic crash set on top of the partition.
+        // A deterministic crash set on top of the partition, clients
+        // included.
         let crashed: Vec<NodeId> =
-            (0..NODES).filter(|v| (seed + *v as u64).is_multiple_of(5)).map(n).collect();
+            nodes.iter().filter(|&&v| (seed + v as u64).is_multiple_of(5)).map(|&v| n(v)).collect();
         for &c in &crashed {
             bus.crash(c);
         }
 
-        for a in 0..NODES {
-            for b in 0..NODES {
+        for &a in &nodes {
+            for &b in &nodes {
                 if a == b {
                     continue;
                 }
-                let expect = reference.can_reach(n(a), n(b))
+                let expect = reference.can_reach(n(home(a)), n(home(b)))
                     && !crashed.contains(&n(a))
                     && !crashed.contains(&n(b));
                 // The query surface and an actual send must both agree
@@ -70,15 +83,15 @@ fn connectivity_matches_topology_partition_rules() {
                     expect,
                     "seed {seed}: can_exchange({a},{b}) disagrees with Partition::can_reach"
                 );
-                let sent = endpoints[a as usize].send(n(b), a * 100 + b);
+                let sent = endpoints[&a].send(n(b), a * 1000 + b);
                 assert_eq!(
                     sent, expect,
                     "seed {seed}: send({a}->{b}) disagrees with Partition::can_reach"
                 );
                 if sent {
-                    let env = endpoints[b as usize].try_recv().expect("delivered message");
+                    let env = endpoints[&b].try_recv().expect("delivered message");
                     assert_eq!(env.from, n(a));
-                    assert_eq!(env.msg, a * 100 + b);
+                    assert_eq!(env.msg, a * 1000 + b);
                 }
             }
         }
@@ -88,11 +101,85 @@ fn connectivity_matches_topology_partition_rules() {
         for &c in &crashed {
             bus.recover(c);
         }
-        for a in 0..NODES {
-            for b in 0..NODES {
+        for &a in &nodes {
+            for &b in &nodes {
                 assert!(bus.can_exchange(n(a), n(b)), "healed bus must be fully connected");
             }
         }
+    }
+}
+
+/// A session attached *while* a server partition is in force lands on
+/// its home server's side of the split, not in the implicit rest group.
+#[test]
+fn session_attached_during_split_joins_its_homes_side() {
+    let bus: LiveBus<u8> = LiveBus::new();
+    let _servers: Vec<_> = (0..3).map(|v| bus.register(n(v))).collect();
+    // Servers 0,1 vs 2; an existing client homed on 0.
+    let early = bus.register(n(1000));
+    early.attach(n(0));
+    bus.split(&[&[n(0), n(1)], &[n(2)]]);
+    assert!(bus.can_exchange(n(1000), n(0)));
+    assert!(!bus.can_exchange(n(1000), n(2)));
+
+    // Mid-split arrivals: one homed on each side.
+    let a = bus.register(n(1001));
+    a.attach(n(1));
+    let b = bus.register(n(1002));
+    b.attach(n(2));
+    assert!(bus.can_exchange(n(1001), n(0)), "new session must sit with its home's group");
+    assert!(bus.can_exchange(n(1001), n(1)));
+    assert!(!bus.can_exchange(n(1001), n(2)));
+    assert!(bus.can_exchange(n(1002), n(2)));
+    assert!(!bus.can_exchange(n(1002), n(0)));
+    // The two arrivals are on opposite sides of the split.
+    assert!(!bus.can_exchange(n(1001), n(1002)));
+
+    // Re-attaching moves a session across; dropping one detaches it, so
+    // its id no longer follows the old home.
+    a.attach(n(2));
+    assert!(bus.can_exchange(n(1001), n(1002)));
+    assert!(!bus.can_exchange(n(1001), n(0)));
+    drop(b);
+    assert!(!bus.can_exchange(n(1002), n(2)), "a detached id is back in the rest group");
+}
+
+/// An attach storm racing split/heal can never leave a healed bus
+/// partitioned: attaching records a home and nothing else, so there is
+/// no partition for it to re-impose.
+#[test]
+fn attach_cannot_revive_a_healed_split() {
+    let bus: LiveBus<u8> = LiveBus::new();
+    let _servers: Vec<_> = (0..2).map(|v| bus.register(n(v))).collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let attachers: Vec<_> = (0..3u32)
+        .map(|t| {
+            let bus = bus.clone();
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                let mut i = 0u32;
+                while !stop.load(Ordering::Acquire) {
+                    // A churn of sessions homed on both sides.
+                    let ep = bus.register(n(1000 + t * 100 + i % 50));
+                    ep.attach(n(i % 2));
+                    ep.attach(n((i + 1) % 2));
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    let steady = bus.register(n(999));
+    steady.attach(n(0));
+    for _ in 0..200 {
+        bus.split(&[&[n(0)], &[n(1)]]);
+        assert!(!bus.can_exchange(n(999), n(1)));
+        bus.heal();
+        assert!(bus.can_exchange(n(0), n(1)), "a racing attach revived a healed split");
+        assert!(bus.can_exchange(n(999), n(1)));
+    }
+    stop.store(true, Ordering::Release);
+    for t in attachers {
+        t.join().unwrap();
     }
 }
 

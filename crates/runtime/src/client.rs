@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use deceit_core::FileParams;
-use deceit_net::live::LiveBus;
 use deceit_net::rpc::{CallId, RpcEndpoint};
 use deceit_net::NodeId;
 use deceit_nfs::{DirEntry, FileAttr, FileHandle, NfsReply, NfsRequest};
@@ -28,15 +27,12 @@ use crate::config::RetryPolicy;
 use crate::error::{RuntimeError, RuntimeResult};
 use crate::history::JournalHandle;
 use crate::obs::RuntimeObs;
-use crate::runtime::{ClientDirectory, NfsFrame};
 
 /// One live client session.
 pub struct RuntimeClient {
     rpc: RpcEndpoint<NfsRequest, NfsReply>,
     home: NodeId,
     servers: Vec<NodeId>,
-    dir: Arc<ClientDirectory>,
-    bus: LiveBus<NfsFrame>,
     timeout: Duration,
     root: FileHandle,
     /// Shared runtime observability: completed calls record their
@@ -54,25 +50,23 @@ pub struct RuntimeClient {
 }
 
 impl RuntimeClient {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         rpc: RpcEndpoint<NfsRequest, NfsReply>,
         home: NodeId,
         servers: Vec<NodeId>,
-        dir: Arc<ClientDirectory>,
-        bus: LiveBus<NfsFrame>,
         timeout: Duration,
         root: FileHandle,
         obs: Arc<RuntimeObs>,
         retry: RetryPolicy,
     ) -> Self {
+        // Attached, the session stands on its home's side of any split,
+        // including one imposed before it opened.
+        rpc.attach(home);
         let jitter = 0x9E37_79B9_7F4A_7C15 ^ (u64::from(rpc.node().0) << 17) | 1;
         RuntimeClient {
             rpc,
             home,
             servers,
-            dir,
-            bus,
             timeout,
             root,
             obs,
@@ -99,13 +93,12 @@ impl RuntimeClient {
         self.home
     }
 
-    /// Re-homes the session onto another server. Under an active
-    /// partition this also moves the session to its new home's side of
-    /// the split.
+    /// Re-homes the session onto another server. The session follows
+    /// its new home to that server's side of any partition.
     pub fn set_home(&mut self, server: NodeId) {
         assert!(self.servers.contains(&server), "no such server {server}");
         self.home = server;
-        self.dir.set_home(self.node(), server, &self.bus);
+        self.rpc.attach(server);
     }
 
     /// The root directory handle (what the mount protocol returned).
@@ -334,12 +327,6 @@ impl RuntimeClient {
     /// Starts a coalescing write batch against `fh`.
     pub fn batch(&self, fh: FileHandle) -> WriteBatch {
         WriteBatch::new(fh)
-    }
-}
-
-impl Drop for RuntimeClient {
-    fn drop(&mut self) {
-        self.dir.forget(self.node());
     }
 }
 

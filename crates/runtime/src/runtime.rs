@@ -10,14 +10,18 @@
 //! injection) take the exclusive cell lock. The deferred-work pump
 //! drains the engine's per-shard event queues under shared access, one
 //! slot at a time.
+//!
+//! Each fault injection (crash, restart, split, heal) is one step: the
+//! bus change and the engine change happen inside the same exclusive
+//! engine section, so no request is ever served while the two disagree.
+//! A request already dequeued when its server crashes is refused by the
+//! engine itself (the server is down), and the bus drops the refusal
+//! because its sender is crashed, exactly as a dead machine stays silent.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use deceit_core::{OpClass, ProtocolHost};
 use deceit_net::live::LiveBus;
@@ -48,7 +52,6 @@ const READ_BATCH: usize = 64;
 #[derive(Debug, Default)]
 struct Tally {
     served: AtomicU64,
-    dropped_while_crashed: AtomicU64,
 }
 
 /// Aggregate traffic counters of a running cluster.
@@ -83,134 +86,10 @@ pub struct RuntimeReport {
     /// Frames that evaporated in the transport because they were queued
     /// at a machine when it crashed (dead kernel buffers).
     pub bus_dropped_stale: u64,
-    /// Requests a server loop discarded because the crash landed after
-    /// the frame was already unsealed — the narrow window the transport
-    /// epoch cannot see.
-    pub dropped_while_crashed: u64,
     /// Total bus deliveries.
     pub bus_delivered: u64,
     /// Total bus rejections.
     pub bus_rejected: u64,
-}
-
-/// The recorded partition plus its epoch. The epoch advances on every
-/// split/heal transition, so any code path that captured partition state
-/// before blocking can detect that the topology moved underneath it.
-#[derive(Debug, Default)]
-struct SplitState {
-    groups: Option<Vec<Vec<NodeId>>>,
-    epoch: u64,
-}
-
-/// Client-home registry: which server each client session currently
-/// treats as its home, plus the currently imposed server partition.
-/// Partition injection consults the homes so a split of the *server*
-/// set also places every client on its home's side — mirroring the
-/// simulator, where clients have no network identity at all. The
-/// remembered split lets sessions opened *during* a partition join
-/// their home's side instead of landing in the implicit rest group.
-///
-/// Every transition is epoch-stamped and every compound operation
-/// (record a home *and* re-impose the split; change the split *and*
-/// mutate the engine) runs under the one `active_split` lock, so a heal
-/// that lands concurrently with a session open can never leave the bus
-/// carrying a stale split — and a session opened mid-heal can never
-/// re-impose the partition it raced with.
-#[derive(Debug, Default)]
-pub(crate) struct ClientDirectory {
-    homes: Mutex<HashMap<NodeId, NodeId>>,
-    active_split: Mutex<SplitState>,
-}
-
-impl ClientDirectory {
-    /// Records (or moves) a session's home and, if a partition is in
-    /// force, re-imposes it so the session sits on its home's side.
-    /// One critical section: the home insert and the re-imposition
-    /// happen under the split lock, so a concurrent heal either sees
-    /// the new home (and imposes nothing) or completes first (and this
-    /// call finds no split to re-impose) — there is no window where a
-    /// healed bus gets the old split back.
-    pub(crate) fn set_home(&self, client: NodeId, home: NodeId, bus: &LiveBus<NfsFrame>) {
-        let split = self.active_split.lock();
-        self.homes.lock().insert(client, home);
-        if let Some(groups) = split.groups.as_ref() {
-            self.impose(groups, bus);
-        }
-    }
-
-    pub(crate) fn forget(&self, client: NodeId) {
-        self.homes.lock().remove(&client);
-    }
-
-    /// Replaces the recorded partition (`None` = healed), bumps the
-    /// partition epoch, and mirrors the change onto the bus — with
-    /// `mutate_engine` run inside the same critical section, so the
-    /// engine's topology and the bus's can never be observed moving in
-    /// opposite directions by a concurrent split/heal.
-    pub(crate) fn set_split_with(
-        &self,
-        groups: Option<Vec<Vec<NodeId>>>,
-        bus: &LiveBus<NfsFrame>,
-        mutate_engine: impl FnOnce(),
-    ) {
-        let mut split = self.active_split.lock();
-        split.groups = groups;
-        split.epoch += 1;
-        match split.groups.as_ref() {
-            Some(groups) => {
-                mutate_engine();
-                self.impose(groups, bus);
-            }
-            None => {
-                bus.heal();
-                mutate_engine();
-            }
-        }
-    }
-
-    /// [`ClientDirectory::set_split_with`] without an engine mutation.
-    #[cfg(test)]
-    pub(crate) fn set_split(&self, groups: Option<Vec<Vec<NodeId>>>, bus: &LiveBus<NfsFrame>) {
-        self.set_split_with(groups, bus, || {});
-    }
-
-    /// The current partition epoch (advances on every split or heal).
-    #[cfg(test)]
-    pub(crate) fn split_epoch(&self) -> u64 {
-        self.active_split.lock().epoch
-    }
-
-    /// Re-imposes the active server partition (if any) on the bus, with
-    /// every client attached to its current home's group. Production
-    /// paths now run re-imposition inside [`ClientDirectory::set_home`]'s
-    /// critical section; this standalone form remains for the race tests
-    /// that hammer re-imposition against heal.
-    #[cfg(test)]
-    pub(crate) fn reapply(&self, bus: &LiveBus<NfsFrame>) {
-        let split = self.active_split.lock();
-        if let Some(groups) = split.groups.as_ref() {
-            self.impose(groups, bus);
-        }
-    }
-
-    /// Applies `groups` + homed clients to the bus. Callers hold the
-    /// `active_split` lock, making directory state and bus state change
-    /// together; `homes` is taken inside it (lock order: split → homes).
-    fn impose(&self, groups: &[Vec<NodeId>], bus: &LiveBus<NfsFrame>) {
-        let homes = self.homes.lock();
-        let with_clients: Vec<Vec<NodeId>> = groups
-            .iter()
-            .map(|g| {
-                let mut out = g.clone();
-                out.extend(
-                    homes.iter().filter(|(_, home)| g.contains(home)).map(|(client, _)| *client),
-                );
-                out
-            })
-            .collect();
-        let refs: Vec<&[NodeId]> = with_clients.iter().map(Vec::as_slice).collect();
-        bus.split(&refs);
-    }
 }
 
 /// State shared by the runtime handle and every hosting thread.
@@ -243,6 +122,12 @@ impl<S: ProtocolHost> Shared<S> {
             out
         })
     }
+
+    /// Counts a request server `id` answered.
+    fn count_served(&self, id: NodeId) {
+        self.tallies[id.index()].served.fetch_add(1, Ordering::Relaxed);
+        self.served_total.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// One live Deceit cell: `n` server threads and a pump thread over a
@@ -253,7 +138,6 @@ impl<S: ProtocolHost> Shared<S> {
 /// from several server threads at once.
 pub struct ClusterRuntime<S: NfsService + ProtocolHost + Send + Sync + 'static = NfsServer> {
     shared: Arc<Shared<S>>,
-    dir: Arc<ClientDirectory>,
     cfg: RuntimeConfig,
     server_ids: Vec<NodeId>,
     server_threads: Vec<JoinHandle<()>>,
@@ -328,7 +212,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
 
         ClusterRuntime {
             shared,
-            dir: Arc::new(ClientDirectory::default()),
             cfg,
             server_ids,
             server_threads,
@@ -362,16 +245,10 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
         // mount_root is `&self`: the shared lock suffices, so opening a
         // session never stalls concurrent readers.
         let root = self.shared.engine.read_guard().mount_root();
-        // set_home re-imposes any active partition, so a session opened
-        // mid-split joins its home server's side rather than the
-        // implicit rest group.
-        self.dir.set_home(id, home, &self.shared.bus);
         RuntimeClient::new(
             ep,
             home,
             self.server_ids.clone(),
-            Arc::clone(&self.dir),
-            self.shared.bus.clone(),
             self.cfg.request_timeout,
             root,
             Arc::clone(&self.shared.obs),
@@ -395,38 +272,43 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
     }
 
     /// Crashes a server "without notification": the bus rejects its
-    /// traffic and the protocol engine loses its volatile state. The
-    /// server *thread* keeps running — a crashed machine and its message
-    /// loop are indistinguishable to the rest of the cell.
+    /// traffic and the protocol engine loses its volatile state, in one
+    /// step. The server *thread* keeps running — a crashed machine and
+    /// its message loop are indistinguishable to the rest of the cell.
     pub fn crash_server(&self, id: NodeId) {
-        self.shared.bus.crash(id);
-        self.shared.with_engine(|e| e.crash_node(id));
-    }
-
-    /// Restarts a crashed server and runs its recovery protocol.
-    pub fn restart_server(&self, id: NodeId) {
-        self.shared.with_engine(|e| e.restart_node(id));
-        self.shared.bus.recover(id);
-    }
-
-    /// Imposes a partition between the given groups of *servers*,
-    /// mirroring [`deceit_core::Cluster::split`]. Each client session is
-    /// placed on its home server's side of the split. The engine, the
-    /// bus, and the directory change inside one epoch-stamped critical
-    /// section, so a concurrent [`ClusterRuntime::heal`] can never leave
-    /// the two topologies pointing in opposite directions.
-    pub fn split(&self, groups: &[&[NodeId]]) {
-        let owned: Vec<Vec<NodeId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.dir.set_split_with(Some(owned), &self.shared.bus, || {
-            self.shared.with_engine(|e| e.split_nodes(groups));
+        self.shared.with_engine(|e| {
+            self.shared.bus.crash(id);
+            e.crash_node(id);
         });
     }
 
-    /// Heals any partition (protocol reconciliation included), atomically
-    /// with the directory/bus state — see [`ClusterRuntime::split`].
+    /// Restarts a crashed server and runs its recovery protocol, then
+    /// reconnects it to the bus, in one step.
+    pub fn restart_server(&self, id: NodeId) {
+        self.shared.with_engine(|e| {
+            e.restart_node(id);
+            self.shared.bus.recover(id);
+        });
+    }
+
+    /// Imposes a partition between the given groups of *servers*,
+    /// mirroring [`deceit_core::Cluster::split`]; each client session
+    /// follows its home server. Bus and engine change in one step, so
+    /// a concurrent [`ClusterRuntime::heal`] can never leave the two
+    /// topologies pointing in opposite directions.
+    pub fn split(&self, groups: &[&[NodeId]]) {
+        self.shared.with_engine(|e| {
+            self.shared.bus.split(groups);
+            e.split_nodes(groups);
+        });
+    }
+
+    /// Heals any partition (protocol reconciliation included) in one
+    /// step over bus and engine — see [`ClusterRuntime::split`].
     pub fn heal(&self) {
-        self.dir.set_split_with(None, &self.shared.bus, || {
-            self.shared.with_engine(|e| e.heal_nodes());
+        self.shared.with_engine(|e| {
+            self.shared.bus.heal();
+            e.heal_nodes();
         });
     }
 
@@ -546,12 +428,6 @@ impl<S: NfsService + ProtocolHost + Send + Sync + 'static> ClusterRuntime<S> {
                 .map(|&id| (id, self.shared.tallies[id.index()].served.load(Ordering::Relaxed)))
                 .collect(),
             bus_dropped_stale: self.shared.bus.dropped_stale(),
-            dropped_while_crashed: self
-                .shared
-                .tallies
-                .iter()
-                .map(|t| t.dropped_while_crashed.load(Ordering::Relaxed))
-                .sum(),
             bus_delivered: self.shared.bus.delivered(),
             bus_rejected: self.shared.bus.rejected(),
         }
@@ -577,44 +453,56 @@ fn serve_loop<S: NfsService + ProtocolHost>(
     let mut carry: Option<IncomingRequest<NfsRequest>> = None;
     while !shared.stop.load(Ordering::Acquire) {
         let Some(incoming) = carry.take().or_else(|| ep.next_request(poll)) else { continue };
-        // A machine crashed by failure injection loses whatever was
-        // queued in its buffers; the thread itself cannot know — it just
-        // finds the traffic gone.
-        if shared.bus.is_crashed(id) {
-            shared.tallies[id.index()].dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
         match incoming.req.class() {
             OpClass::ReadOnly => carry = serve_read_batch(shared, &mut ep, id, incoming),
-            class => {
-                // Sharded fast path: shared cell lock + the class's ring
-                // locks. The engine answers unless the request's
-                // footprint escapes those locks, in which case it runs
-                // on the exclusive fallback.
-                let sharded = shared.engine.try_execute_sharded(class, |e| {
-                    let out = e.serve_sharded(id, &incoming.req);
-                    if out.is_some() {
-                        shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                    }
-                    out
-                });
-                let fast = sharded.is_some();
-                let (rep, _latency) = match sharded {
-                    Some(out) => out,
-                    None => shared.engine.execute(class, |e| {
-                        let out = e.serve(id, incoming.req);
-                        shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                        out
-                    }),
-                };
-                if ep.reply(incoming.from, incoming.call, rep) {
-                    shared.tallies[id.index()].served.fetch_add(1, Ordering::Relaxed);
-                    shared.served_total.fetch_add(1, Ordering::Relaxed);
-                    if fast {
-                        shared.served_sharded.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            _ => serve_locked(shared, &mut ep, id, incoming),
+        }
+    }
+}
+
+/// Serves a request the lock-free path cannot answer, replies, and
+/// tallies. It runs under the shared cell lock plus ring locks first:
+/// a mutation's declared slots, or the slot of the file a read names.
+/// The engine declines when the request's footprint escapes those locks
+/// (and a read naming no file has no slot), and the request then runs
+/// on the exclusive fallback. Whenever the engine answered, the
+/// pending-work cache is refreshed, so deferred work the request queued
+/// (propagation, read-repair, a migration) wakes the pump.
+fn serve_locked<S: NfsService + ProtocolHost>(
+    shared: &Shared<S>,
+    ep: &mut RpcEndpoint<NfsRequest, NfsReply>,
+    id: NodeId,
+    cur: IncomingRequest<NfsRequest>,
+) {
+    let class = cur.req.class();
+    let ring = match class {
+        OpClass::ReadOnly => cur.req.shard_key().map(OpClass::Mutate),
+        class => Some(class),
+    };
+    let sharded = ring.and_then(|ring| {
+        shared.engine.try_execute_sharded(ring, |e| {
+            let out = match class {
+                OpClass::ReadOnly => e.serve_read_sharded(id, &cur.req),
+                _ => e.serve_sharded(id, &cur.req),
+            };
+            if out.is_some() {
+                shared.pending_cache.store(e.pending_work(), Ordering::Release);
             }
+            out
+        })
+    });
+    let fast = sharded.is_some();
+    let (rep, _latency) = sharded.unwrap_or_else(|| {
+        shared.engine.execute(class, |e| {
+            let out = e.serve(id, cur.req);
+            shared.pending_cache.store(e.pending_work(), Ordering::Release);
+            out
+        })
+    });
+    if ep.reply(cur.from, cur.call, rep) {
+        shared.count_served(id);
+        if fast {
+            shared.served_sharded.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -626,122 +514,50 @@ fn serve_loop<S: NfsService + ProtocolHost>(
 /// Batching matters under load: without it, every reply forces a lock
 /// round trip even though neighboring requests in the queue are also
 /// reads. A request the fast path cannot answer (no local stable
-/// replica) falls back to the exclusive serve immediately; a non-read
-/// request ends the batch and is returned as carry for the main loop.
+/// replica) ends the batch and goes to [`serve_locked`]; a non-read
+/// request ends it too and is returned as carry for the main loop.
 fn serve_read_batch<S: NfsService + ProtocolHost>(
     shared: &Shared<S>,
     ep: &mut RpcEndpoint<NfsRequest, NfsReply>,
     id: NodeId,
     first: IncomingRequest<NfsRequest>,
 ) -> Option<IncomingRequest<NfsRequest>> {
-    let tally = |served: bool, fast: bool| {
-        if served {
-            shared.tallies[id.index()].served.fetch_add(1, Ordering::Relaxed);
-            shared.served_total.fetch_add(1, Ordering::Relaxed);
-            if fast {
+    let mut budget = READ_BATCH;
+    let mut cur = first;
+    // The batch holds one guard, released before a declined read takes
+    // the locked path.
+    let declined = {
+        let engine = shared.engine.read_guard();
+        loop {
+            let t = std::time::Instant::now();
+            let Some((rep, _latency)) = engine.serve_shared(id, &cur.req) else { break cur };
+            shared.obs.shared_serve.record_micros(t.elapsed());
+            if ep.reply(cur.from, cur.call, rep) {
+                shared.count_served(id);
                 shared.served_shared.fetch_add(1, Ordering::Relaxed);
+            }
+            match next_batched(shared, ep, &mut budget) {
+                Some(next) if next.req.class() == OpClass::ReadOnly => cur = next,
+                carry => return carry,
             }
         }
     };
-    let mut incoming = Some(first);
-    let mut budget = READ_BATCH;
-    while let Some(cur) = incoming.take() {
-        // The whole fast-path batch runs under one guard; the guard is
-        // released only to fall back to the exclusive path or to hand a
-        // non-read request to the main loop.
-        let fallback = {
-            let engine = shared.engine.read_guard();
-            let mut cur = cur;
-            loop {
-                let t = std::time::Instant::now();
-                match engine.serve_shared(id, &cur.req) {
-                    Some((rep, _latency)) => {
-                        shared.obs.shared_serve.record_micros(t.elapsed());
-                        tally(ep.reply(cur.from, cur.call, rep), true)
-                    }
-                    None => break Some(cur),
-                }
-                match next_batched_read(shared, ep, id, &mut budget) {
-                    BatchNext::Read(next) => cur = next,
-                    BatchNext::Carry(next) => return Some(next),
-                    BatchNext::Done => break None,
-                }
-            }
-        };
-        // Not locally servable: the full read path forwards, joins
-        // groups, and accounts the clock. It still runs under the
-        // shared cell lock when the request names a primary file —
-        // serialized only against that file's mutations on its ring
-        // lock — and takes the exclusive lock only for keyless requests
-        // and cell-spanning inquiries.
-        let cur = fallback?;
-        let ring_read = cur.req.shard_key().and_then(|key| {
-            shared
-                .engine
-                .try_execute_sharded(OpClass::Mutate(key), |e| e.serve_read_sharded(id, &cur.req))
-        });
-        let fast = ring_read.is_some();
-        let (rep, _latency) = match ring_read {
-            Some(out) => out,
-            None => shared.engine.execute(OpClass::ReadOnly, |e| {
-                let out = e.serve(id, cur.req);
-                shared.pending_cache.store(e.pending_work(), Ordering::Release);
-                out
-            }),
-        };
-        let served = ep.reply(cur.from, cur.call, rep);
-        tally(served, false);
-        if served && fast {
-            shared.served_sharded.fetch_add(1, Ordering::Relaxed);
-        }
-        match next_batched_read(shared, ep, id, &mut budget) {
-            BatchNext::Read(next) => incoming = Some(next),
-            BatchNext::Carry(next) => return Some(next),
-            BatchNext::Done => return None,
-        }
-    }
+    serve_locked(shared, ep, id, declined);
     None
 }
 
-/// What the read batch should do next.
-enum BatchNext {
-    /// Another read-only request was already queued: keep batching.
-    Read(IncomingRequest<NfsRequest>),
-    /// A non-read request was pulled off the queue: end the batch and
-    /// hand it to the main loop.
-    Carry(IncomingRequest<NfsRequest>),
-    /// Budget exhausted, stop requested, queue empty, or crashed.
-    Done,
-}
-
-/// The batch-continuation step: budget/stop check, non-blocking poll,
-/// crash-evaporation accounting, and read-vs-carry classification — one
-/// copy, shared by the fast-path loop and the exclusive fallback.
-fn next_batched_read<S>(
+/// The next already-queued request, while the batch budget lasts and
+/// no stop was requested.
+fn next_batched<S>(
     shared: &Shared<S>,
     ep: &mut RpcEndpoint<NfsRequest, NfsReply>,
-    id: NodeId,
     budget: &mut usize,
-) -> BatchNext {
+) -> Option<IncomingRequest<NfsRequest>> {
     if *budget == 0 || shared.stop.load(Ordering::Acquire) {
-        return BatchNext::Done;
+        return None;
     }
     *budget -= 1;
-    match ep.poll_request() {
-        Some(next) => {
-            if shared.bus.is_crashed(id) {
-                // Mirror the main loop: queued traffic at a crashed
-                // machine evaporates.
-                shared.tallies[id.index()].dropped_while_crashed.fetch_add(1, Ordering::Relaxed);
-                BatchNext::Done
-            } else if next.req.class() == OpClass::ReadOnly {
-                BatchNext::Read(next)
-            } else {
-                BatchNext::Carry(next)
-            }
-        }
-        None => BatchNext::Done,
-    }
+    ep.poll_request()
 }
 
 /// The deferred-work pump: what the simulator's event loop does between
@@ -821,126 +637,17 @@ mod tests {
         NodeId(v)
     }
 
-    /// A session opened *while* a server partition is in force must land
-    /// on its home server's side of the split, not in the implicit rest
-    /// group.
-    #[test]
-    fn session_opened_during_split_joins_its_homes_side() {
-        let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let dir = ClientDirectory::default();
-        // Servers 0,1 vs 2; an existing client homed on 0.
-        dir.set_home(n(1000), n(0), &bus);
-        dir.set_split(Some(vec![vec![n(0), n(1)], vec![n(2)]]), &bus);
-        assert!(bus.can_exchange(n(1000), n(0)));
-        assert!(!bus.can_exchange(n(1000), n(2)));
-
-        // Mid-split arrivals: one homed on each side.
-        dir.set_home(n(1001), n(1), &bus);
-        dir.set_home(n(1002), n(2), &bus);
-        assert!(bus.can_exchange(n(1001), n(0)), "new session must sit with its home's group");
-        assert!(bus.can_exchange(n(1001), n(1)));
-        assert!(!bus.can_exchange(n(1001), n(2)));
-        assert!(bus.can_exchange(n(1002), n(2)));
-        assert!(!bus.can_exchange(n(1002), n(0)));
-        // The two arrivals are on opposite sides of the split.
-        assert!(!bus.can_exchange(n(1001), n(1002)));
-    }
-
-    /// `set_split(None)` must not be overwritten by a concurrent
-    /// `reapply`: once a heal lands, no stale re-imposition of the old
-    /// split may follow. The directory guarantees this by holding the
-    /// split lock across the bus mutation; this test hammers the pair
-    /// from racing threads and checks the invariant after every heal.
-    #[test]
-    fn heal_cannot_be_overwritten_by_concurrent_reapply() {
-        let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let dir = Arc::new(ClientDirectory::default());
-        dir.set_home(n(1000), n(0), &bus);
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let stormers: Vec<_> = (0..3)
-            .map(|_| {
-                let dir = Arc::clone(&dir);
-                let bus = bus.clone();
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        dir.reapply(&bus);
-                    }
-                })
-            })
-            .collect();
-
-        for _ in 0..200 {
-            dir.set_split(Some(vec![vec![n(0)], vec![n(1)]]), &bus);
-            dir.set_split(None, &bus);
-            // Healed means healed, no matter how the reapply storm
-            // interleaved: reapply sees the cleared split and must not
-            // touch the bus.
-            assert!(
-                bus.can_exchange(n(0), n(1)),
-                "a concurrent reapply re-imposed a cleared split"
-            );
-        }
-        stop.store(true, Ordering::Release);
-        for t in stormers {
-            t.join().unwrap();
-        }
-    }
-
-    /// A session opened concurrently with a heal must not re-impose the
-    /// split it raced with: `set_home`'s home-insert and re-imposition
-    /// are one critical section against `set_split`.
-    #[test]
-    fn session_open_cannot_revive_a_healed_split() {
-        let bus: LiveBus<NfsFrame> = LiveBus::new();
-        let dir = Arc::new(ClientDirectory::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let openers: Vec<_> = (0..3u32)
-            .map(|t| {
-                let dir = Arc::clone(&dir);
-                let bus = bus.clone();
-                let stop = Arc::clone(&stop);
-                thread::spawn(move || {
-                    let mut i = 0u32;
-                    while !stop.load(Ordering::Acquire) {
-                        // A churn of session opens homed on both sides.
-                        dir.set_home(n(1000 + t * 100 + (i % 50)), n(i % 2), &bus);
-                        i += 1;
-                    }
-                })
-            })
-            .collect();
-        let epoch_start = dir.split_epoch();
-        for _ in 0..200 {
-            dir.set_split(Some(vec![vec![n(0)], vec![n(1)]]), &bus);
-            dir.set_split(None, &bus);
-            assert!(bus.can_exchange(n(0), n(1)), "a racing session open revived a healed split");
-        }
-        stop.store(true, Ordering::Release);
-        for t in openers {
-            t.join().unwrap();
-        }
-        assert_eq!(dir.split_epoch(), epoch_start + 400, "every transition bumps the epoch");
-    }
-
-    /// Concurrent split/heal on a live cluster: the engine topology and
-    /// the bus topology change inside one critical section, so whichever
-    /// call wins, the two always agree afterwards — a healed engine never
-    /// sits behind a split bus or vice versa.
-    #[test]
-    fn engine_and_bus_topology_never_diverge_under_split_heal_races() {
+    /// Storms `fault` from four threads (thread `t` passes `t % 2`),
+    /// then checks that bus and engine agree on reachability for every
+    /// server pair — whatever state the storm settled in.
+    fn storm_then_compare(fault: fn(&ClusterRuntime, usize)) -> ClusterRuntime {
         let rt = Arc::new(ClusterRuntime::start(crate::RuntimeConfig::new(3)));
         let threads: Vec<_> = (0..4usize)
             .map(|t| {
                 let rt = Arc::clone(&rt);
                 thread::spawn(move || {
                     for _ in 0..25 {
-                        if t % 2 == 0 {
-                            rt.split(&[&[n(0)], &[n(1), n(2)]]);
-                        } else {
-                            rt.heal();
-                        }
+                        fault(&rt, t % 2);
                     }
                 })
             })
@@ -948,8 +655,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        // Engine reachability must match the bus exchange rules for
-        // every server pair, whatever state the storm settled in.
         let rt = Arc::try_unwrap(rt).unwrap_or_else(|_| panic!("all storm threads joined"));
         let pairs = [(n(0), n(1)), (n(0), n(2)), (n(1), n(2))];
         let engine_view: Vec<bool> = rt.with_engine(|e| {
@@ -962,10 +667,75 @@ mod tests {
                 "bus and engine disagree about {a}<->{b} after the storm"
             );
         }
+        rt
+    }
+
+    /// Concurrent split/heal on a live cluster: each is one step over
+    /// engine and bus, so whichever call wins, the two always agree
+    /// afterwards — a healed engine never sits behind a split bus or
+    /// vice versa.
+    #[test]
+    fn engine_and_bus_topology_never_diverge_under_split_heal_races() {
+        let rt = storm_then_compare(|rt, t| match t {
+            0 => rt.split(&[&[n(0)], &[n(1), n(2)]]),
+            _ => rt.heal(),
+        });
         // And a final heal restores full service in both worlds.
         rt.heal();
         assert!(rt.with_engine(|e| e.fs.cluster.net.reachable(n(0), n(1))));
         assert!(rt.shared.bus.can_exchange(n(0), n(1)));
+        rt.shutdown();
+    }
+
+    /// Concurrent crash/restart of one server: the bus's crash flag and
+    /// the engine's change in one step, so a racing pair can never leave
+    /// the bus up while the engine is down, or the reverse.
+    #[test]
+    fn engine_and_bus_topology_never_diverge_under_crash_restart_races() {
+        let rt = storm_then_compare(|rt, t| match t {
+            0 => rt.crash_server(n(1)),
+            _ => rt.restart_server(n(1)),
+        });
+        rt.restart_server(n(1));
+        assert!(rt.with_engine(|e| e.fs.cluster.net.reachable(n(0), n(1))));
+        assert!(rt.shared.bus.can_exchange(n(0), n(1)));
+        rt.shutdown();
+    }
+
+    /// A read served on the ring path can queue deferred work: here a
+    /// migration toward the server that keeps forwarding reads for a
+    /// file it holds no replica of. The pump must see that work without
+    /// any mutation, settle or inspection refreshing its idle check.
+    #[test]
+    fn ring_path_reads_wake_the_pump_for_the_migration_they_queue() {
+        let mut cfg = crate::RuntimeConfig::new(3);
+        // Due-gating still applies; a short window keeps the test quick.
+        cfg.cluster.lazy_apply_delay = deceit_sim::SimDuration::from_millis(100);
+        let rt = ClusterRuntime::start(cfg);
+        let mut owner = rt.client_homed(n(0));
+        let fh = owner.create(owner.root(), "f", 0o644).expect("create").handle;
+        owner.write(fh, 0, b"payload").expect("write");
+        rt.settle();
+        assert_eq!(owner.locate_replicas(fh).expect("locate"), vec![n(0)]);
+
+        // Server 1 has no replica: its reads forward on the ring path
+        // until one crosses the placement threshold and queues a
+        // migration. Reading stops there, so no later read can fire the
+        // migration inline once it falls due.
+        let placement = || rt.observe().core.expect("core report").placement;
+        let mut reader = rt.client_homed(n(1));
+        for reads in 0.. {
+            if placement().migrations_proposed > 0 {
+                break;
+            }
+            assert!(reads < 40, "40 forwarded reads proposed no migration");
+            assert_eq!(&reader.read(fh, 0, 64).expect("read")[..], b"payload");
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(8);
+        while placement().migrations_executed == 0 && std::time::Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(placement().migrations_executed, 1, "the pump never woke for the migration");
         rt.shutdown();
     }
 }

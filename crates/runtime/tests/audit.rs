@@ -137,8 +137,8 @@ fn mutation_seeds_are_green_without_the_mutation() {
 
 /// Regression: a reader whose session forwards reads across the cell
 /// must never observe a shrinking acked prefix while `split`/`heal`
-/// flap the partition epoch around in-flight requests
-/// (`ClientDirectory::set_split_with` racing a forwarded read).
+/// flap the partition around in-flight requests (each fault injection
+/// racing a forwarded read).
 #[test]
 fn forwarded_reads_stay_monotone_across_split_heal_flaps() {
     let rcfg = RuntimeConfig::new(3);
