@@ -452,7 +452,6 @@ pub const DECL_ALLOWLIST: &[&str] = &[
     "SlotCounters::fallbacks",
     // Runtime tallies and the client-ID allocator.
     "Tally::served",
-    "Shared::served_total",
     "Shared::served_shared",
     "Shared::served_sharded",
     "ClusterRuntime::next_client",

@@ -25,17 +25,46 @@
 //! send either refuses it or leaves it carrying the pre-crash epoch, and
 //! [`LiveEndpoint`] discards it on receive. Traffic queued at a machine
 //! never survives its reboot.
+//!
+//! # Spin, then park
+//!
+//! A blocking receive ([`LiveEndpoint::recv_timeout`]) polls its queue
+//! for up to `SPIN` (20 µs) before it parks on the channel. A parked
+//! receiver costs a futex sleep, and its sender pays the futex wake; a
+//! peer that answers within microseconds (a server reading its own
+//! replica does) skips both. 20 µs is about one parked bus round trip,
+//! so a spin that loses costs at most what parking would have: the
+//! competitive-spinning bound (Karlin, Li, Manasse & Owicki, SOSP 1991).
+//! Each empty poll yields the core rather than busy-waiting: a live cell
+//! runs more threads than a small machine has cores, and the thread the
+//! spinner waits for may need the very core it would hold. The one
+//! receive sits under both the clients' waits and the servers' request
+//! loops, and both sides must spin: if either still parks, every send
+//! to it still pays the wake. Frames taken while spinning go through
+//! the same stale-epoch check as parked ones. The non-blocking
+//! [`LiveEndpoint::try_recv`] never spins.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
 
 use crate::node::NodeId;
 use crate::topology::Partition;
+
+/// How long a blocking receive polls its queue before parking: about
+/// one parked bus round trip (see the module docs).
+const SPIN: Duration = Duration::from_micros(20);
+
+/// The time left until `deadline`; `None` (a deadline past the end of
+/// time) leaves [`Duration::MAX`], which the channel treats as "block
+/// until a frame arrives".
+pub(crate) fn time_left(deadline: Option<Instant>) -> Duration {
+    deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()))
+}
 
 /// One delivered message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,15 +303,30 @@ impl<M: Send + 'static> LiveEndpoint<M> {
     pub fn send(&self, to: NodeId, msg: M) -> bool {
         self.bus.send(self.node, to, msg)
     }
-    /// Blocks until a message arrives or the timeout elapses.
+    /// Blocks until a message arrives or the timeout elapses; a timeout
+    /// too large to form a deadline ([`Duration::MAX`]) never elapses.
+    ///
+    /// Spins first: polls the queue, yielding between polls, for up to
+    /// `SPIN` (clipped to `timeout`), and only then parks on the
+    /// channel for the rest of the timeout. See the module docs.
     ///
     /// Frames queued before this machine's most recent crash are
     /// silently discarded — they were in a dead machine's buffers.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = std::time::Instant::now() + timeout;
+        let start = Instant::now();
+        let spin_until = start + SPIN.min(timeout);
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.rx.recv_timeout(remaining) {
+            if let Some(env) = self.try_recv() {
+                return Some(env);
+            }
+            if Instant::now() >= spin_until {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let deadline = start.checked_add(timeout);
+        loop {
+            match self.rx.recv_timeout(time_left(deadline)) {
                 Ok(sealed) => {
                     if let Some(env) = self.unseal(sealed) {
                         return Some(env);

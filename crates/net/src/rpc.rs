@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::live::{LiveBus, LiveEndpoint};
+use crate::live::{time_left, LiveBus, LiveEndpoint};
 use crate::node::NodeId;
 
 /// Correlates one request with its reply.
@@ -163,7 +163,8 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         Ok(call)
     }
 
-    /// Waits for the reply to one submitted call.
+    /// Waits for the reply to one submitted call. A timeout too large
+    /// to form a deadline ([`Duration::MAX`]) waits without one.
     ///
     /// Replies to *other* calls arriving in the meantime are buffered, so
     /// pipelined calls may be awaited in any order. Incoming requests are
@@ -172,13 +173,13 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         if !self.outstanding.contains_key(&call) && !self.ready.contains_key(&call) {
             return Err(RpcError::UnknownCall(call));
         }
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(rep) = self.ready.remove(&call) {
                 self.outstanding.remove(&call);
                 return Ok(rep);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = time_left(deadline);
             if remaining.is_zero() {
                 let to = self.outstanding.remove(&call);
                 return Err(RpcError::Timeout(to.unwrap_or(self.node())));
@@ -206,14 +207,15 @@ impl<Q: Send + 'static, P: Send + 'static> RpcEndpoint<Q, P> {
         self.ready.remove(&call);
     }
 
-    /// Returns the next incoming request, waiting up to `timeout`.
+    /// Returns the next incoming request, waiting up to `timeout`
+    /// ([`Duration::MAX`]: without a deadline).
     pub fn next_request(&mut self, timeout: Duration) -> Option<IncomingRequest<Q>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(r) = self.inbox.pop_front() {
                 return Some(r);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
+            let remaining = time_left(deadline);
             if remaining.is_zero() {
                 return None;
             }

@@ -7,9 +7,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use deceit_net::live::LiveBus;
+use deceit_net::live::{Envelope, LiveBus, LiveEndpoint};
 use deceit_net::topology::Partition;
 use deceit_net::NodeId;
 
@@ -183,30 +183,69 @@ fn attach_cannot_revive_a_healed_split() {
     }
 }
 
+/// A receive, blocking or not.
+type Drain = fn(&LiveEndpoint<&'static str>) -> Option<Envelope<&'static str>>;
+
 #[test]
 fn crash_rejects_both_directions_and_evaporates_queued_traffic() {
-    let bus: LiveBus<&'static str> = LiveBus::new();
+    // Drained without blocking, and through the blocking receive, whose
+    // spin must unseal the frames it takes exactly like a parked wake.
+    let drains: [Drain; 2] = [|ep| ep.try_recv(), |ep| ep.recv_timeout(Duration::from_millis(1))];
+    for drain in drains {
+        let bus: LiveBus<&'static str> = LiveBus::new();
+        let a = bus.register(n(0));
+        let b = bus.register(n(1));
+
+        // Queue a message, then crash the receiver: new traffic is
+        // rejected both ways, and the queued message dies with the
+        // machine — a dead kernel's buffers do not survive the reboot.
+        assert!(a.send(n(1), "queued before crash"));
+        bus.crash(n(1));
+        assert!(bus.is_crashed(n(1)));
+        assert!(!a.send(n(1), "into the void"));
+        assert!(!b.send(n(0), "from the grave"));
+        assert_eq!(bus.rejected(), 2);
+
+        bus.recover(n(1));
+        assert!(!bus.is_crashed(n(1)));
+        // Post-recovery traffic flows; the pre-crash frame was discarded
+        // even though recovery happened before the endpoint drained it.
+        assert!(a.send(n(1), "back online"));
+        assert_eq!(drain(&b).unwrap().msg, "back online");
+        assert!(drain(&b).is_none());
+        assert_eq!(bus.dropped_stale(), 1);
+    }
+}
+
+/// Spinning honours the caller's deadline: on an empty endpoint, a zero
+/// or a 5 µs timeout returns within 2 ms.
+#[test]
+fn short_timeouts_on_an_empty_endpoint_return_promptly() {
+    let bus: LiveBus<u8> = LiveBus::new();
     let a = bus.register(n(0));
-    let b = bus.register(n(1));
+    for timeout in [Duration::ZERO, Duration::from_micros(5)] {
+        let t0 = Instant::now();
+        assert!(a.recv_timeout(timeout).is_none());
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(2), "recv_timeout({timeout:?}) took {took:?}");
+    }
+}
 
-    // Queue a message, then crash the receiver: new traffic is rejected
-    // both ways, and the queued message dies with the machine — a dead
-    // kernel's buffers do not survive the reboot.
-    assert!(a.send(n(1), "queued before crash"));
-    bus.crash(n(1));
-    assert!(bus.is_crashed(n(1)));
-    assert!(!a.send(n(1), "into the void"));
-    assert!(!b.send(n(0), "from the grave"));
-    assert_eq!(bus.rejected(), 2);
-
-    bus.recover(n(1));
-    assert!(!bus.is_crashed(n(1)));
-    // Post-recovery traffic flows; the pre-crash frame was discarded
-    // even though recovery happened before the endpoint drained it.
-    assert!(a.send(n(1), "back online"));
-    assert_eq!(b.try_recv().unwrap().msg, "back online");
-    assert!(b.try_recv().is_none());
-    assert_eq!(bus.dropped_stale(), 1);
+/// A frame that arrives long after the spin window has ended still
+/// wakes the parked receiver.
+#[test]
+fn frame_sent_after_the_spin_wakes_a_parked_receiver() {
+    let bus: LiveBus<u8> = LiveBus::new();
+    let rx = bus.register(n(1));
+    let tx = bus.register(n(0));
+    let sender = thread::spawn(move || {
+        thread::sleep(Duration::from_millis(5));
+        assert!(tx.send(n(1), 42));
+        tx
+    });
+    let env = rx.recv_timeout(Duration::from_secs(2)).expect("late frame delivered");
+    assert_eq!((env.from, env.msg), (n(0), 42));
+    sender.join().unwrap();
 }
 
 #[test]

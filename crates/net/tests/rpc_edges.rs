@@ -1,6 +1,7 @@
 //! RPC correlation edge cases: a pipelined call timing out mid-stream
-//! while its neighbors complete, and reply correlation when an endpoint
-//! is torn down and re-registered under the same node id.
+//! while its neighbors complete, reply correlation when an endpoint is
+//! torn down and re-registered under the same node id, and calls with
+//! no deadline at all.
 
 use std::time::Duration;
 
@@ -90,4 +91,24 @@ fn reply_correlation_survives_endpoint_reregistration() {
     assert!(server.reply(new_req.from, new_req.call, 2220));
     assert_eq!(second.wait(new_call, Duration::from_secs(2)), Ok(2220));
     assert_eq!(second.in_flight(), 0);
+}
+
+/// A `Duration::MAX` timeout means "no deadline", on both sides of a
+/// call: the caller's wait and the server's request loop block until a
+/// frame arrives instead of overflowing the deadline arithmetic.
+#[test]
+fn unbounded_timeout_round_trip() {
+    let bus: LiveBus<Frame> = LiveBus::new();
+    let mut server: RpcEndpoint<u64, u64> = RpcEndpoint::register(&bus, n(1));
+    let echo = std::thread::spawn(move || loop {
+        let req = server.next_request(Duration::MAX).expect("request");
+        assert!(server.reply(req.from, req.call, req.req * 10));
+        if req.req == 0 {
+            return;
+        }
+    });
+    let mut client: RpcEndpoint<u64, u64> = RpcEndpoint::register(&bus, n(0));
+    assert_eq!(client.call(n(1), 7, Duration::MAX), Ok(70));
+    assert_eq!(client.call(n(1), 0, Duration::MAX), Ok(0));
+    echo.join().unwrap();
 }
