@@ -13,20 +13,27 @@ use crate::params::FileParams;
 use crate::version::VersionPair;
 
 /// One mutation of a segment, distributed to the file group as an update.
+///
+/// Payloads are shared, immutable [`Bytes`]: cloning an op — into an
+/// [`UpdateRecord`], a queued apply, an outbound stream — bumps a
+/// reference count. [`WriteOp::Replace`] installs its buffer into the
+/// replica without copying, so every replica of a whole-file write
+/// shares one allocation; `WriteAt` and `Append` build the patched
+/// segment afresh (see [`SegmentData`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WriteOp {
     /// Replace the entire contents ("files tend to be written … in their
     /// entirety", §2.3 — the common case).
-    Replace(Vec<u8>),
+    Replace(Bytes),
     /// Replace bytes starting at an offset, extending as needed.
     WriteAt {
         /// Byte offset of the first written byte.
         offset: usize,
         /// The bytes to write.
-        data: Vec<u8>,
+        data: Bytes,
     },
     /// Append at the current end of segment.
-    Append(Vec<u8>),
+    Append(Bytes),
     /// Truncate (or zero-extend) to an exact length.
     Truncate(usize),
     /// Replace the semantic parameters (the `setparam` call; distributed
@@ -36,25 +43,25 @@ pub enum WriteOp {
 }
 
 impl WriteOp {
-    /// Convenience constructor for [`WriteOp::Replace`].
+    /// Convenience constructor for [`WriteOp::Replace`] (copies `data`).
     pub fn replace(data: &[u8]) -> Self {
-        WriteOp::Replace(data.to_vec())
+        WriteOp::Replace(Bytes::copy_from_slice(data))
     }
 
-    /// Convenience constructor for [`WriteOp::Append`].
+    /// Convenience constructor for [`WriteOp::Append`] (copies `data`).
     pub fn append(data: &[u8]) -> Self {
-        WriteOp::Append(data.to_vec())
+        WriteOp::Append(Bytes::copy_from_slice(data))
     }
 
-    /// Convenience constructor for [`WriteOp::WriteAt`].
+    /// Convenience constructor for [`WriteOp::WriteAt`] (copies `data`).
     pub fn write_at(offset: usize, data: &[u8]) -> Self {
-        WriteOp::WriteAt { offset, data: data.to_vec() }
+        WriteOp::WriteAt { offset, data: Bytes::copy_from_slice(data) }
     }
 
     /// Applies the mutation to a replica's contents and parameters.
     pub fn apply(&self, data: &mut SegmentData, params: &mut FileParams) {
         match self {
-            WriteOp::Replace(bytes) => data.replace(bytes),
+            WriteOp::Replace(bytes) => data.replace(bytes.clone()),
             WriteOp::WriteAt { offset, data: bytes } => data.write(*offset, bytes),
             WriteOp::Append(bytes) => data.append(bytes),
             WriteOp::Truncate(len) => data.truncate(*len),

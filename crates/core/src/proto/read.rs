@@ -23,10 +23,12 @@ use crate::trace_events::ProtocolEvent;
 use crate::version::VersionRelation;
 
 /// Materializes one served read from a replica borrow — the single
-/// copy-out every local read path shares, so the shape of a served read
-/// (range copy, version, total length, serving node) cannot drift
-/// between the fast paths and the full path.
-fn copy_out(
+/// read-out every local read path shares, so the shape of a served read
+/// (range view, version, total length, serving node) cannot drift
+/// between the fast paths and the full path. The data is a view of the
+/// replica's immutable buffer, not a copy (see
+/// [`deceit_storage::SegmentData`]).
+fn read_out(
     r: &crate::replica::Replica,
     served_by: NodeId,
     offset: usize,
@@ -106,7 +108,7 @@ impl Cluster {
         };
         let key = (seg, major);
         // One slot-lock acquisition covers the stability check, the
-        // copy-out, *and* the LRU touch together: a concurrent mutation
+        // read-out, *and* the LRU touch together: a concurrent mutation
         // is seen either entirely or not at all — never a torn replica —
         // and the access lands in the touch buffer (folded into
         // `last_access` at the next engine entry covering this slot, so
@@ -117,7 +119,7 @@ impl Cluster {
             if !r.is_stable() {
                 return None;
             }
-            Some(copy_out(r, via, offset, count))
+            Some(read_out(r, via, offset, count))
         });
         let served = match served {
             Some(d) => d,
@@ -138,13 +140,13 @@ impl Cluster {
     /// answer, without ring locks.
     ///
     /// Correctness rests on a seqlock-style sandwich. The lease is read
-    /// before and after the replica copy-out, the copied replica must
+    /// before and after the replica read-out, the served replica must
     /// carry exactly the leased version, and every invalidation site
     /// removes the lease *before* the fact it asserts stops holding
     /// (token movement removes it before the token leaves, stabilize
     /// when the stream ends, a crash clears it with the volatile state).
     /// So if the second read still observes the identical lease, the
-    /// token had not begun moving when the bytes were copied — the copy
+    /// token had not begun moving when the bytes were taken — the view
     /// is the primary's acked prefix. Any change, and the caller falls
     /// back to the locked path.
     fn try_read_leased(
@@ -167,7 +169,7 @@ impl Cluster {
                 self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
                 return None;
             }
-            Some(copy_out(r, via, offset, count))
+            Some(read_out(r, via, offset, count))
         })?;
         if srv.leases.get(&key) != Some(lease) {
             self.obs.lease_validation_failures.fetch_add(1, atomic::Ordering::Relaxed);
@@ -257,7 +259,7 @@ impl Cluster {
         }
         let served = srv
             .replicas
-            .with_ref_served(&key, self.now(), |r| Some(copy_out(r?, via, offset, count)))?;
+            .with_ref_served(&key, self.now(), |r| Some(read_out(r?, via, offset, count)))?;
         Some(OpResult { value: served, latency: self.cfg.local_read })
     }
 
@@ -630,7 +632,7 @@ impl Cluster {
         // uses) and folds in at the next engine entry covering this slot
         // — no value clone, no forced metadata write.
         let srv = self.server(server);
-        srv.replicas.with_ref_served(&key, now, |r| Some(copy_out(r?, server, offset, count)))
+        srv.replicas.with_ref_served(&key, now, |r| Some(read_out(r?, server, offset, count)))
     }
 
     /// One request/response exchange between two servers.

@@ -111,7 +111,7 @@ impl Cluster {
         // Revoke the holder-local read lease *first*: the lease asserts
         // "my replica is the stream's acked prefix", which stops being
         // maintainable the moment the token starts moving. The lock-free
-        // read path re-checks the lease after its copy-out, so removing
+        // read path re-checks the lease after its read-out, so removing
         // it before any token state changes guarantees no reader serves
         // across the movement (see `Cluster::try_read_leased`).
         if self.server(holder).leases.remove(&key).is_some() {

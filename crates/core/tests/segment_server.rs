@@ -382,3 +382,48 @@ fn update_cost_scales_with_file_group_not_cell_size() {
     }
     assert_eq!(msgs[0], msgs[1], "update traffic independent of cell size");
 }
+
+/// A huge read count is clamped to the segment, on every read path —
+/// the core API does not rely on its callers to clamp.
+#[test]
+fn read_with_huge_count_returns_the_tail() {
+    let mut c = cluster(2);
+    let seg = c.create(n(0)).unwrap().value;
+    c.write(n(0), seg, WriteOp::replace(b"abc"), None).unwrap();
+    c.run_until_quiet();
+    let full = c.read(n(0), seg, None, 1, usize::MAX).unwrap().value;
+    assert_eq!(&full.data[..], b"bc");
+    let fast = c.try_read_local(n(0), seg, None, 1, usize::MAX).unwrap().value;
+    assert_eq!(&fast.data[..], b"bc");
+    let forwarded = c.read(n(1), seg, None, usize::MAX, usize::MAX).unwrap().value;
+    assert!(forwarded.data.is_empty());
+}
+
+/// Pins the zero-copy write and read paths: a whole-segment write's
+/// buffer is installed as is in every replica, and a lock-free read
+/// replies with a view into the stored replica's buffer.
+#[test]
+fn replace_and_local_read_share_the_stored_buffer() {
+    let mut c = cluster(3);
+    let seg = c.create(n(0)).unwrap().value;
+    c.set_params(n(0), seg, FileParams { min_replicas: 3, ..FileParams::default() }).unwrap();
+    c.run_until_quiet();
+    let payload = bytes::Bytes::from(vec![9u8; 4096]);
+    c.write(n(0), seg, WriteOp::Replace(payload.clone()), None).unwrap();
+    c.run_until_quiet();
+    let key = (seg, 0);
+    let mut holders = 0;
+    for s in 0..3 {
+        let stored = c.server(n(s)).replicas.with_ref(&key, |r| r.map(|r| r.data.contents()));
+        if let Some(stored) = stored {
+            assert_eq!(stored.as_ptr(), payload.as_ptr(), "server {s} copied the payload");
+            holders += 1;
+        }
+    }
+    assert_eq!(holders, 3);
+
+    let stored = c.server(n(0)).replicas.with_ref(&key, |r| r.unwrap().data.contents());
+    let reply = c.try_read_local(n(0), seg, None, 100, 50).unwrap().value.data;
+    assert_eq!(reply.len(), 50);
+    assert_eq!(reply.as_ptr(), stored[100..].as_ptr(), "reply is a view, not a copy");
+}

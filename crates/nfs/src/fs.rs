@@ -38,6 +38,7 @@
 //! * [`crate::ops_file`] — single-file mutations;
 //! * [`crate::ops_dir`] — namespace (directory / cross-file) mutations.
 
+use std::borrow::Cow;
 use std::convert::Infallible;
 
 use bytes::Bytes;
@@ -249,10 +250,9 @@ impl DeceitFs {
         let now = cluster.now().as_micros();
         let mut inode = Inode::new(FileType::Directory.to_byte(), 0o755, now);
         inode.nlink = 1;
-        let mut payload = inode.encode();
-        payload.extend_from_slice(&Directory::new().encode());
+        let segment = Patch::replace(Directory::new().encode()).build(&inode, &[]);
         cluster
-            .write(via, root_seg, WriteOp::Replace(payload), None)
+            .write(via, root_seg, WriteOp::Replace(segment), None)
             // lint: allow(no-bare-panic): cell construction, not a request path — the unconditional first write of a segment just created at a live server
             .expect("root format cannot fail");
         cluster.run_until_quiet();
@@ -387,7 +387,7 @@ pub(crate) trait SegIo {
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        buf: Vec<u8>,
+        buf: Bytes,
         expected: Option<VersionPair>,
     ) -> Served<VersionPair, Self::Decline>;
 
@@ -455,9 +455,7 @@ pub(crate) trait SegIo {
         payload: &[u8],
         expected: Option<VersionPair>,
     ) -> Result<(VersionPair, SimDuration), Stop<Self::Decline>> {
-        let mut buf = inode.encode();
-        buf.extend_from_slice(payload);
-        let w = self.write_whole(via, fh, buf, expected)?;
+        let w = self.write_whole(via, fh, Patch::replace(payload).build(inode, &[]), expected)?;
         Ok((w.value, w.latency))
     }
 
@@ -471,31 +469,32 @@ pub(crate) trait SegIo {
     ) -> Result<SimDuration, Stop<Self::Decline>> {
         let updated = self.update_segment(via, fh, |inode, payload| {
             f(inode);
-            Ok(Some(payload.to_vec()))
+            Ok(Some(Patch::keep(payload)))
         })?;
         Ok(updated.3)
     }
 
     /// Runs a read-modify-write on a segment with the §5.1 restart loop.
-    /// `mutate` returns `Ok(Some(payload))` to write, `Ok(None)` to leave
-    /// the segment untouched.
-    fn update_segment(
+    /// `mutate` returns `Ok(Some(patch))` to write the loaded payload
+    /// patched, `Ok(None)` to leave the segment untouched. The new
+    /// segment is built once, into one exact-size buffer that the engine
+    /// then shares with every replica.
+    fn update_segment<'a>(
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Vec<u8>>, NfsError>,
+        mut mutate: impl FnMut(&mut Inode, &Bytes) -> Result<Option<Patch<'a>>, NfsError>,
     ) -> Result<Updated, Stop<Self::Decline>> {
         let mut latency = SimDuration::ZERO;
         for attempt in 0..self.fs().cfg.occ_retries.max(1) {
             let (mut inode, payload, version, l1) = self.load(via, fh)?;
             latency += l1;
-            let Some(new_payload) = mutate(&mut inode, &payload)? else {
+            let Some(patch) = mutate(&mut inode, &payload)? else {
                 return Ok((inode, payload.len(), version, latency));
             };
-            match self.store(via, fh, &inode, &new_payload, Some(version)) {
-                Ok((new_version, l2)) => {
-                    return Ok((inode, new_payload.len(), new_version, latency + l2))
-                }
+            let segment = patch.build(&inode, &payload);
+            match self.write_whole(via, fh, segment, Some(version)) {
+                Ok(w) => return Ok((inode, patch.len, w.value, latency + w.latency)),
                 Err(Stop::Fail(NfsError::Io(DeceitError::VersionConflict { .. }))) => {
                     self.fs().cluster.stats.incr("nfs/occ_restarts");
                     // §5.1: "the whole operation is restarted." Restarting
@@ -511,6 +510,55 @@ pub(crate) trait SegIo {
             }
         }
         Err(NfsError::Busy.into())
+    }
+}
+
+/// A read-modify-write's new payload, described against the loaded one:
+/// the loaded payload cut or zero-extended to `len` bytes, with `data`
+/// written at `at`. Describing it instead of materializing it lets
+/// [`Patch::build`] write each byte of the new segment exactly once.
+pub(crate) struct Patch<'a> {
+    len: usize,
+    at: usize,
+    data: Cow<'a, [u8]>,
+}
+
+impl<'a> Patch<'a> {
+    /// The loaded payload unchanged (an inode-only update).
+    pub(crate) fn keep(payload: &[u8]) -> Self {
+        Patch::resize(payload.len())
+    }
+
+    /// The loaded payload cut or zero-extended to `len` bytes.
+    pub(crate) fn resize(len: usize) -> Self {
+        Patch { len, at: 0, data: Cow::Borrowed(&[]) }
+    }
+
+    /// `data` written at `at` over a `payload_len`-byte payload,
+    /// zero-filling any gap and extending the payload as needed.
+    pub(crate) fn write(payload_len: usize, at: usize, data: &'a [u8]) -> Self {
+        Patch { len: payload_len.max(at + data.len()), at, data: Cow::Borrowed(data) }
+    }
+
+    /// An entirely new payload.
+    pub(crate) fn replace(data: impl Into<Cow<'a, [u8]>>) -> Self {
+        let data = data.into();
+        Patch { len: data.len(), at: 0, data }
+    }
+
+    /// The segment `inode`'s header followed by this patch applied to
+    /// `old`, built in one buffer of exactly the segment's size.
+    pub(crate) fn build(&self, inode: &Inode, old: &[u8]) -> Bytes {
+        let hdr = inode.encoded_len();
+        let end = self.at + self.data.len();
+        let mut buf = Vec::with_capacity(hdr + self.len);
+        inode.encode_into(&mut buf);
+        buf.extend_from_slice(&old[..self.at.min(old.len())]);
+        buf.resize(hdr + self.at, 0);
+        buf.extend_from_slice(&self.data);
+        buf.extend_from_slice(old.get(end..self.len.min(old.len())).unwrap_or_default());
+        buf.resize(hdr + self.len, 0);
+        buf.into()
     }
 }
 
@@ -539,7 +587,7 @@ impl SegIo for DeceitFs {
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        buf: Vec<u8>,
+        buf: Bytes,
         expected: Option<VersionPair>,
     ) -> Served<VersionPair, Infallible> {
         Ok(self.cluster.write(via, fh.seg, WriteOp::Replace(buf), expected)?)
@@ -626,7 +674,7 @@ impl SegIo for Ring<'_> {
         &mut self,
         via: NodeId,
         fh: FileHandle,
-        buf: Vec<u8>,
+        buf: Bytes,
         expected: Option<VersionPair>,
     ) -> Served<VersionPair, ()> {
         Ok(self.fs.cluster.write_sharded(
@@ -684,7 +732,7 @@ impl SegIo for SharedAccess<'_> {
         &mut self,
         _via: NodeId,
         _fh: FileHandle,
-        _buf: Vec<u8>,
+        _buf: Bytes,
         _expected: Option<VersionPair>,
     ) -> Served<VersionPair, ()> {
         Err(Stop::Decline(()))
@@ -708,5 +756,41 @@ impl SegIo for SharedAccess<'_> {
 
     fn exclusive(&mut self) -> Result<&mut DeceitFs, ()> {
         Err(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The patched payload built the slow way: copy, resize, overwrite.
+    fn naive(old: &[u8], len: usize, at: usize, data: &[u8]) -> Vec<u8> {
+        let mut v = old.to_vec();
+        v.resize(len, 0);
+        v[at..at + data.len()].copy_from_slice(data);
+        v
+    }
+
+    #[test]
+    fn patch_builds_header_and_payload_in_one_exact_buffer() {
+        let inode = Inode::new(FileType::Regular.to_byte(), 0o644, 7);
+        let hdr = inode.encode();
+        let old = b"0123456789";
+        let cases: [(Patch, Vec<u8>); 7] = [
+            (Patch::keep(old), old.to_vec()),
+            (Patch::resize(4), naive(old, 4, 0, b"")),
+            (Patch::resize(13), naive(old, 13, 0, b"")),
+            (Patch::write(old.len(), 2, b"ab"), naive(old, 10, 2, b"ab")),
+            (Patch::write(old.len(), 8, b"abcd"), naive(old, 12, 8, b"abcd")),
+            (Patch::write(old.len(), 14, b"z"), naive(old, 15, 14, b"z")),
+            (Patch::replace(b"new".to_vec()), b"new".to_vec()),
+        ];
+        for (i, (patch, payload)) in cases.into_iter().enumerate() {
+            let built = patch.build(&inode, old);
+            assert_eq!(built.len(), hdr.len() + payload.len(), "case {i}");
+            assert_eq!(&built[..hdr.len()], &hdr[..], "case {i}");
+            assert_eq!(&built[hdr.len()..], &payload[..], "case {i}");
+            assert_eq!(patch.len, payload.len(), "case {i}");
+        }
     }
 }

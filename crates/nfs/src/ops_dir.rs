@@ -31,7 +31,7 @@ use deceit_net::NodeId;
 use deceit_sim::SimDuration;
 
 use crate::dir::{DirEntry, Directory};
-use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult, SegIo, Served, Stop};
+use crate::fs::{DeceitFs, FileAttr, FileType, NfsError, NfsResult, Patch, SegIo, Served, Stop};
 use crate::gc;
 use crate::handle::FileHandle;
 use crate::inode::Inode;
@@ -329,7 +329,7 @@ fn insert_entry<M: SegIo>(
             return Err(NfsError::Exists);
         }
         dnode.mtime = now;
-        Ok(Some(table.encode()))
+        Ok(Some(Patch::replace(table.encode())))
     })?;
     Ok(updated.3)
 }
@@ -349,7 +349,7 @@ fn remove_entry<M: SegIo>(
             return Err(NfsError::NotFound);
         }
         dnode.mtime = now;
-        Ok(Some(table.encode()))
+        Ok(Some(Patch::replace(table.encode())))
     })?;
     Ok(updated.3)
 }

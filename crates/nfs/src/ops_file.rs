@@ -21,7 +21,9 @@
 use deceit_core::FileParams;
 use deceit_net::NodeId;
 
-use crate::fs::{check_fits, DeceitFs, FileAttr, FileType, NfsError, NfsResult, SegIo, Served};
+use crate::fs::{
+    check_fits, DeceitFs, FileAttr, FileType, NfsError, NfsResult, Patch, SegIo, Served,
+};
 use crate::handle::FileHandle;
 
 impl DeceitFs {
@@ -101,12 +103,9 @@ pub(crate) fn setattr<M: SegIo>(
         inode.uid = uid.unwrap_or(inode.uid);
         inode.gid = gid.unwrap_or(inode.gid);
         inode.ctime = now;
-        let mut data = payload.to_vec();
-        if let Some(s) = size {
-            data.resize(s, 0);
-            inode.mtime = now;
-        }
-        Ok(Some(data))
+        let Some(s) = size else { return Ok(Some(Patch::keep(payload))) };
+        inode.mtime = now;
+        Ok(Some(Patch::resize(s)))
     })?;
     io.updated_attr(via, fh, updated)
 }
@@ -129,10 +128,7 @@ pub(crate) fn write<M: SegIo>(
         let end = offset.checked_add(data.len()).ok_or(NfsError::FileTooBig)?;
         check_fits(inode, end)?;
         inode.mtime = now;
-        let mut contents = payload.to_vec();
-        contents.resize(contents.len().max(end), 0);
-        contents[offset..end].copy_from_slice(data);
-        Ok(Some(contents))
+        Ok(Some(Patch::write(payload.len(), offset, data)))
     })?;
     io.updated_attr(via, fh, updated)
 }

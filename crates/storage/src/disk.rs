@@ -327,4 +327,34 @@ mod tests {
         assert_eq!(d.sync_writes, 1);
         assert_eq!(d.async_writes, 2);
     }
+
+    #[test]
+    fn crash_reverts_to_the_exact_sync_value() {
+        use crate::SegmentData;
+        let mut d: Disk<u32, SegmentData> = Disk::new(DiskConfig::workstation());
+        let v1 = SegmentData::from_bytes(b"version one");
+        d.put_sync(1, v1.clone());
+        let mut v2 = d.get(&1).cloned().unwrap();
+        v2.write(0, b"VERSION TWO, longer");
+        d.put_async(1, v2);
+        assert_eq!(&d.get(&1).unwrap().contents()[..], b"VERSION TWO, longer");
+        d.crash();
+        assert_eq!(d.get(&1), Some(&v1), "reverts to exactly v1");
+        assert_eq!(d.durable_bytes(), v1.len());
+    }
+
+    #[test]
+    fn sync_put_shares_one_buffer_between_durable_and_volatile() {
+        use crate::SegmentData;
+        let mut d: Disk<u32, SegmentData> = Disk::new(DiskConfig::workstation());
+        d.put_sync(1, SegmentData::from_bytes(&[7u8; 4096]));
+        let volatile = d.get(&1).unwrap().contents();
+        let durable = d.durable[&1].contents();
+        assert_eq!(volatile.as_ptr(), durable.as_ptr(), "one allocation, two entries");
+
+        d.put_async(2, SegmentData::from_bytes(&[8u8; 4096]));
+        d.flush_key(&2);
+        let volatile = d.get(&2).unwrap().contents();
+        assert_eq!(volatile.as_ptr(), d.durable[&2].contents().as_ptr(), "flush shares too");
+    }
 }
